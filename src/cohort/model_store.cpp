@@ -91,6 +91,11 @@ std::vector<int> ModelStore::read_manifest() const {
   if (!(is >> word >> n) || word != "users") {
     throw std::runtime_error("ModelStore: bad manifest header");
   }
+  // Every id takes at least one byte, so a count beyond the file size is
+  // corrupt: reject it before it sizes an allocation.
+  if (n > bytes.size()) {
+    throw std::runtime_error("ModelStore: manifest truncated");
+  }
   std::vector<int> ids;
   ids.reserve(n);
   int id = 0;

@@ -49,11 +49,6 @@ class OnlineAdapter {
   ///         feature-dimension mismatch.
   void assimilate(std::span<const double> raw_features, int label);
 
-  /// Vector overload (kept so braced-list call sites keep compiling).
-  void assimilate(const std::vector<double>& raw_features, int label) {
-    assimilate(std::span<const double>(raw_features), label);
-  }
-
   const UserModel& model() const noexcept { return model_; }
   /// A detector over the current (adapted) model.
   Detector detector() const { return Detector(model_); }

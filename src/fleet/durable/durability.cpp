@@ -15,9 +15,8 @@ namespace sift::fleet::durable {
 namespace {
 
 constexpr std::uint32_t kCheckpointMagic = 0x4B464953;  // "SIFK"
-/// v1: single journal barrier. v2: per-segment barrier list (the
-/// thread-per-core WAL). Readers accept both; writers emit v2.
-constexpr std::uint16_t kCheckpointVersionV1 = 1;
+/// v2: per-segment barrier list (the thread-per-core WAL). Any other
+/// version is rejected like a corrupt generation.
 constexpr std::uint16_t kCheckpointVersion = 2;
 
 void fsync_dir(const std::string& dir) {
@@ -38,7 +37,6 @@ struct Durability::ParsedCheckpoint {
 
 std::string Durability::segment_file(const std::string& dir,
                                      std::size_t segment) {
-  if (segment == 0) return dir + "/journal.bin";  // legacy single-WAL name
   return dir + "/journal." + std::to_string(segment) + ".bin";
 }
 
@@ -241,17 +239,12 @@ bool Durability::try_load(const std::string& path,
     io::StateReader h(*header);
     if (h.u32() != kCheckpointMagic) return false;
     const std::uint16_t version = h.u16();
-    if (version == kCheckpointVersionV1) {
+    if (version != kCheckpointVersion) return false;
+    const std::uint32_t n_segments = h.u32();
+    if (n_segments > 4096) return false;  // sanity bound, not a format
+    out.journal_barriers.reserve(n_segments);
+    for (std::uint32_t i = 0; i < n_segments; ++i) {
       out.journal_barriers.push_back(h.u64());
-    } else if (version == kCheckpointVersion) {
-      const std::uint32_t n_segments = h.u32();
-      if (n_segments > 4096) return false;  // sanity bound, not a format
-      out.journal_barriers.reserve(n_segments);
-      for (std::uint32_t i = 0; i < n_segments; ++i) {
-        out.journal_barriers.push_back(h.u64());
-      }
-    } else {
-      return false;
     }
     const std::uint32_t session_count = h.u32();
     const std::uint32_t reject_count = h.u32();

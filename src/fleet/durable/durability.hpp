@@ -32,11 +32,9 @@
 //      independent of segment count, so a fleet restarted with a
 //      different core count recovers the exact same state.
 //
-// Segment 0 keeps the legacy name journal.bin; worker w ≥ 1 appends to
-// journal.<w>.bin. The engine calls attach_segments() with its resolved
-// worker count at construction; a Durability used without an engine (or
-// before attach) routes everything to segment 0, which is the PR-4
-// single-journal behaviour unchanged.
+// Worker w appends to journal.<w>.bin. The engine calls attach_segments()
+// with its resolved worker count at construction; a Durability used
+// without an engine (or before attach) routes everything to segment 0.
 //
 // Known scope limit: exactly-once reject accounting keys on the packet's
 // sequence number, so it assumes seq integrity on the wire (payload

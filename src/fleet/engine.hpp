@@ -30,12 +30,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "fleet/bounded_queue.hpp"
 #include "fleet/metrics.hpp"
 #include "fleet/model_registry.hpp"
 #include "fleet/session_table.hpp"
@@ -54,6 +54,20 @@ class FaultInjector;
 namespace durable {
 class Durability;
 }  // namespace durable
+
+/// What a full (producer, worker) lane does with the next envelope: block
+/// the producer (lossless, pushes the pressure back to the ingest socket)
+/// or shed the *oldest* staged envelope (bounded latency, mirrors
+/// RingBuffer::push_evict: stale sensor windows are worth less than fresh
+/// ones, and every shed envelope is counted so operators see the loss).
+enum class BackpressurePolicy {
+  kBlock,      ///< producers wait for space (lossless)
+  kDropOldest  ///< evict the oldest staged element, count the drop
+};
+
+inline const char* to_string(BackpressurePolicy p) noexcept {
+  return p == BackpressurePolicy::kBlock ? "block" : "drop-oldest";
+}
 
 /// Per-user ingest-validation bookkeeping. The per-channel high-waters
 /// exist for exactly-once recovery: a reject charged before a checkpoint

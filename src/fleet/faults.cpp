@@ -7,21 +7,11 @@
 #include <thread>
 #include <utility>
 
+#include "core/splitmix.hpp"
+
 namespace sift::fleet {
 
 namespace {
-
-/// splitmix64: the stateless mixer behind every injection decision.
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-double uniform01(std::uint64_t h) noexcept {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
 
 bool contains(const std::vector<int>& v, int x) noexcept {
   return std::find(v.begin(), v.end(), x) != v.end();
@@ -30,15 +20,6 @@ bool contains(const std::vector<int>& v, int x) noexcept {
 }  // namespace
 
 FaultInjector::FaultInjector(FaultConfig config) : config_(std::move(config)) {}
-
-bool FaultInjector::coin(int user_id, std::uint64_t seq, std::uint64_t salt,
-                         double probability) const noexcept {
-  if (probability <= 0.0) return false;
-  const std::uint64_t h =
-      mix(config_.seed ^ mix(static_cast<std::uint64_t>(user_id) ^
-                             mix(seq ^ mix(salt))));
-  return uniform01(h) < probability;
-}
 
 bool FaultInjector::targets_payload(int user_id) const noexcept {
   return contains(config_.payload_users, user_id);
@@ -62,34 +43,40 @@ bool FaultInjector::corrupt_packet(int user_id, wiot::Packet& packet) {
   const std::uint64_t seq =
       (static_cast<std::uint64_t>(packet.seq) << 1) |
       (packet.kind == wiot::ChannelKind::kEcg ? 0u : 1u);
+  const auto user = static_cast<std::uint64_t>(user_id);
 
-  if (coin(user_id, seq, /*salt=*/1, config_.nan_probability)) {
+  if (core::coin(config_.nan_probability, config_.seed, user, seq,
+                 /*salt=*/1)) {
     // Poison a deterministic sample position with NaN and one with +Inf.
-    packet.samples[mix(seq) % packet.samples.size()] =
+    packet.samples[core::splitmix64(seq) % packet.samples.size()] =
         std::numeric_limits<double>::quiet_NaN();
-    packet.samples[mix(seq + 7) % packet.samples.size()] =
+    packet.samples[core::splitmix64(seq + 7) % packet.samples.size()] =
         std::numeric_limits<double>::infinity();
     nan_samples_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
-  if (coin(user_id, seq, /*salt=*/2, config_.corrupt_probability)) {
+  if (core::coin(config_.corrupt_probability, config_.seed, user, seq,
+                 /*salt=*/2)) {
     // Radio bit flips in the exponent field: set the exponent to all-ones,
     // which turns the sample into Inf/NaN — i.e. corruption the validator
     // is guaranteed to catch (finite-garbage flips are modelled by the
     // attack library instead; they are a detection problem, not a
     // robustness one).
-    const std::size_t at = mix(seq + 13) % packet.samples.size();
+    const std::size_t at = core::splitmix64(seq + 13) % packet.samples.size();
     const std::uint64_t bits = std::bit_cast<std::uint64_t>(packet.samples[at]);
     packet.samples[at] = std::bit_cast<double>(bits | 0x7ff0000000000000ULL);
     corrupted_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
-  if (coin(user_id, seq, /*salt=*/3, config_.truncate_probability)) {
-    packet.samples.resize(1 + mix(seq + 17) % (packet.samples.size() / 2 + 1));
+  if (core::coin(config_.truncate_probability, config_.seed, user, seq,
+                 /*salt=*/3)) {
+    packet.samples.resize(1 + core::splitmix64(seq + 17) %
+                                  (packet.samples.size() / 2 + 1));
     truncated_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
-  if (coin(user_id, seq, /*salt=*/4, config_.seq_skew_probability)) {
+  if (core::coin(config_.seq_skew_probability, config_.seed, user, seq,
+                 /*salt=*/4)) {
     packet.seq |= 0x60000000u;  // past the wraparound guard
     seq_skewed_.fetch_add(1, std::memory_order_relaxed);
     return true;

@@ -130,9 +130,6 @@ class FaultInjector {
   FaultCounts counts() const;
 
  private:
-  bool coin(int user_id, std::uint64_t seq, std::uint64_t salt,
-            double probability) const noexcept;
-
   FaultConfig config_;
 
   std::atomic<std::uint64_t> nan_samples_{0};

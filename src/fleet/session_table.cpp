@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "core/splitmix.hpp"
+
 namespace sift::fleet {
 
 SessionTable::SessionTable(std::size_t num_shards, ModelRegistry& registry,
@@ -17,14 +19,10 @@ SessionTable::SessionTable(std::size_t num_shards, ModelRegistry& registry,
 }
 
 std::size_t SessionTable::shard_of(int user_id) const noexcept {
-  // splitmix64 finaliser: cheap, and decouples shard choice from any
-  // structure in the id space (sequential ids, per-site id ranges...).
-  std::uint64_t x = static_cast<std::uint64_t>(static_cast<std::uint32_t>(user_id));
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
+  // splitmix64 finaliser (no gamma add): cheap, and decouples shard choice
+  // from any structure in the id space (sequential ids, per-site id
+  // ranges...).
+  const std::uint64_t x = core::mix64(static_cast<std::uint32_t>(user_id));
   return static_cast<std::size_t>(x % shards_.size());
 }
 

@@ -17,9 +17,9 @@
 // request*: on a full ring the producer bumps `shed_requests_` and
 // retries; the consumer honours pending requests at the start of its next
 // sweep by discarding that many envelopes from the head (counting them as
-// dropped). Net effect is identical to the mutexed BoundedQueue's
-// kDropOldest — the freshest packet is always accepted, the oldest ones
-// pay — without breaking the single-consumer invariant.
+// dropped). Net effect is a drop-oldest queue — the freshest packet is
+// always accepted, the oldest ones pay — without breaking the
+// single-consumer invariant.
 #pragma once
 
 #include <atomic>

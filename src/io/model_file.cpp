@@ -1,7 +1,10 @@
 #include "io/model_file.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,16 +14,13 @@
 namespace sift::io {
 namespace {
 
-// v2 adds an integrity header so a truncated or bit-flipped artefact fails
-// load with a clear error instead of feeding garbage weights downstream:
+// The integrity header makes a truncated or bit-flipped artefact fail load
+// with a clear error instead of feeding garbage weights downstream:
 //
 //   sift-user-model v2
 //   crc32 <8-hex> <payload-bytes>
-//   <v1 body>
-//
-// v1 files (no checksum) remain readable for already-provisioned fleets.
+//   <body>
 constexpr const char* kMagic = "sift-user-model v2";
-constexpr const char* kMagicV1 = "sift-user-model v1";
 
 std::uint32_t body_crc(const std::string& body) noexcept {
   return crc32({reinterpret_cast<const std::uint8_t*>(body.data()),
@@ -39,6 +39,27 @@ core::Arithmetic arithmetic_from(const std::string& s) {
   if (s == "float32") return core::Arithmetic::kFloat32;
   if (s == "Q16.16") return core::Arithmetic::kFixedQ16;
   throw std::runtime_error("model file: unknown arithmetic '" + s + "'");
+}
+
+/// Parses all of @p s as an unsigned number in @p base; false on any
+/// sign, prefix, stray character or overflow.
+template <typename T>
+bool parse_exact(const std::string& s, T& out, int base) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out, base);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Bytes between the read position and the end of @p is, or nullopt when
+/// the stream cannot report it.
+std::optional<std::uint64_t> bytes_left(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  if (here == std::istream::pos_type(-1)) return std::nullopt;
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(here);
+  if (end == std::istream::pos_type(-1) || !is) return std::nullopt;
+  return static_cast<std::uint64_t>(end - here);
 }
 
 std::string expect_field(std::istream& is, const std::string& key) {
@@ -112,17 +133,11 @@ core::UserModel read_model_body(std::istream& is) {
 
 core::UserModel read_user_model(std::istream& is) {
   std::string line;
-  bool v2 = false;
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    if (line == kMagic) {
-      v2 = true;
-    } else if (line != kMagicV1) {
-      throw std::runtime_error("model file: bad magic '" + line + "'");
-    }
-    break;
+  while (std::getline(is, line) && (line.empty() || line[0] == '#')) {
   }
-  if (!v2) return read_model_body(is);  // legacy, unchecksummed
+  if (line != kMagic) {
+    throw std::runtime_error("model file: bad magic '" + line + "'");
+  }
 
   std::string crc_line;
   if (!std::getline(is, crc_line)) {
@@ -131,17 +146,28 @@ core::UserModel read_user_model(std::istream& is) {
   std::istringstream ss(crc_line);
   std::string key;
   std::string hex;
-  std::size_t expected_size = 0;
-  if (!(ss >> key >> hex >> expected_size) || key != "crc32") {
+  std::string size_text;
+  std::uint32_t expected_crc = 0;
+  std::uint64_t expected_size = 0;
+  if (!(ss >> key >> hex >> size_text) || key != "crc32" || hex.size() != 8 ||
+      !parse_exact(hex, expected_crc, 16) ||
+      !parse_exact(size_text, expected_size, 10)) {
     throw std::runtime_error("model file: malformed crc32 header '" +
                              crc_line + "'");
   }
-  const std::uint32_t expected_crc =
-      static_cast<std::uint32_t>(std::stoul(hex, nullptr, 16));
+  // The size is outside input: check it against what the stream holds
+  // before allocating, so a forged header cannot demand gigabytes.
+  const std::optional<std::uint64_t> left = bytes_left(is);
+  if (!left || expected_size > *left) {
+    throw std::runtime_error(
+        "model file: truncated body (expected " +
+        std::to_string(expected_size) + " bytes, " +
+        (left ? std::to_string(*left) : std::string("unknown")) + " left)");
+  }
 
-  std::string payload(expected_size, '\0');
+  std::string payload(static_cast<std::size_t>(expected_size), '\0');
   is.read(payload.data(), static_cast<std::streamsize>(expected_size));
-  if (static_cast<std::size_t>(is.gcount()) != expected_size) {
+  if (static_cast<std::uint64_t>(is.gcount()) != expected_size) {
     throw std::runtime_error(
         "model file: truncated body (expected " +
         std::to_string(expected_size) + " bytes, got " +

@@ -5,7 +5,8 @@
 // window length, grid size, version and arithmetic, so they travel in the
 // same file:
 //
-//   sift-user-model v1
+//   sift-user-model v2
+//   crc32 <8-hex> <body-bytes>
 //   user_id <n>
 //   version Original|Simplified|Reduced
 //   arithmetic double|float32|Q16.16
@@ -24,7 +25,10 @@ namespace sift::io {
 void write_user_model(std::ostream& os, const core::UserModel& model);
 void save_user_model(const std::string& path, const core::UserModel& model);
 
-/// @throws std::runtime_error on malformed input or unknown enum names.
+/// @p is must be seekable (a file or string stream): the body size the
+/// header claims is checked against the bytes left before allocating.
+/// @throws std::runtime_error on malformed or truncated input, a crc32
+/// mismatch, or unknown enum names.
 core::UserModel read_user_model(std::istream& is);
 core::UserModel load_user_model(const std::string& path);
 

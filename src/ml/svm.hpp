@@ -29,17 +29,9 @@ struct LinearSvmModel {
   /// @throws std::invalid_argument on dimension mismatch.
   double decision_value(std::span<const double> x) const;
 
-  /// Vector overload (kept so braced-list call sites keep compiling).
-  double decision_value(const std::vector<double>& x) const {
-    return decision_value(std::span<const double>(x));
-  }
-
   /// +1 (altered) if decision_value >= 0, else -1 (unaltered).
   int predict(std::span<const double> x) const {
     return decision_value(x) >= 0.0 ? +1 : -1;
-  }
-  int predict(const std::vector<double>& x) const {
-    return predict(std::span<const double>(x));
   }
 };
 

@@ -7,21 +7,11 @@
 #include <thread>
 #include <utility>
 
+#include "core/splitmix.hpp"
+
 namespace sift::net {
 
 namespace {
-
-/// splitmix64: the stateless mixer behind every injection decision.
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-double uniform01(std::uint64_t h) noexcept {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
 
 // Salts keep each fault kind's coin independent at the same wire position.
 enum : std::uint64_t {
@@ -47,14 +37,6 @@ FaultyTransport::FaultyTransport(NetFaultConfig config)
            config_.midframe_kill_probability > 0.0;
 }
 
-bool FaultyTransport::coin(std::uint64_t conn_id, std::uint64_t offset,
-                           std::uint64_t salt,
-                           double probability) const noexcept {
-  if (probability <= 0.0) return false;
-  const std::uint64_t h = mix(config_.seed ^ mix(conn_id ^ mix(offset ^ mix(salt))));
-  return uniform01(h) < probability;
-}
-
 void FaultyTransport::injected(std::atomic<std::uint64_t>& counter) noexcept {
   counter.fetch_add(1, std::memory_order_relaxed);
   if (counter_ != nullptr) counter_->add(1);
@@ -65,7 +47,8 @@ ssize_t FaultyTransport::send(std::uint64_t conn_id, std::uint64_t offset,
                               int flags) {
   if (!armed_) return ::send(fd, buf, len, flags);
 
-  if (coin(conn_id, offset, kSaltReset, config_.reset_probability)) {
+  if (core::coin(config_.reset_probability, config_.seed, conn_id, offset,
+                 kSaltReset)) {
     injected(resets_);
     ::shutdown(fd, SHUT_RDWR);
     errno = ECONNRESET;
@@ -74,8 +57,8 @@ ssize_t FaultyTransport::send(std::uint64_t conn_id, std::uint64_t offset,
   // A mid-frame kill delivers a strict prefix, then severs the wire — the
   // receiver sees a torn frame followed by EOF. Needs len >= 2 for the
   // prefix to be strictly partial.
-  if (len >= 2 && coin(conn_id, offset, kSaltMidframeKill,
-                       config_.midframe_kill_probability)) {
+  if (len >= 2 && core::coin(config_.midframe_kill_probability, config_.seed,
+                             conn_id, offset, kSaltMidframeKill)) {
     injected(midframe_kills_);
     const std::size_t prefix = std::max<std::size_t>(1, len / 2);
     (void)::send(fd, buf, prefix, flags);
@@ -83,20 +66,21 @@ ssize_t FaultyTransport::send(std::uint64_t conn_id, std::uint64_t offset,
     errno = ECONNRESET;
     return -1;
   }
-  if (coin(conn_id, offset, kSaltWriteStall, config_.write_stall_probability)) {
+  if (core::coin(config_.write_stall_probability, config_.seed, conn_id,
+                 offset, kSaltWriteStall)) {
     injected(write_stalls_);
     std::this_thread::sleep_for(config_.stall);
     return ::send(fd, buf, len, flags);
   }
-  if (coin(conn_id, offset, kSaltWriteEagain,
-           config_.write_eagain_probability)) {
+  if (core::coin(config_.write_eagain_probability, config_.seed, conn_id,
+                 offset, kSaltWriteEagain)) {
     injected(write_eagain_);
     errno = EAGAIN;
     return -1;
   }
   if (len >= 2 &&
-      coin(conn_id, offset, kSaltPartialWrite,
-           config_.partial_write_probability)) {
+      core::coin(config_.partial_write_probability, config_.seed, conn_id,
+                 offset, kSaltPartialWrite)) {
     injected(partial_writes_);
     return ::send(fd, buf, std::max<std::size_t>(1, len / 2), flags);
   }
@@ -107,19 +91,22 @@ ssize_t FaultyTransport::recv(std::uint64_t conn_id, std::uint64_t offset,
                               int fd, void* buf, std::size_t len, int flags) {
   if (!armed_) return ::recv(fd, buf, len, flags);
 
-  if (coin(conn_id, offset, kSaltReset, config_.reset_probability)) {
+  if (core::coin(config_.reset_probability, config_.seed, conn_id, offset,
+                 kSaltReset)) {
     injected(resets_);
     ::shutdown(fd, SHUT_RDWR);
     errno = ECONNRESET;
     return -1;
   }
-  if (coin(conn_id, offset, kSaltReadStall, config_.read_stall_probability)) {
+  if (core::coin(config_.read_stall_probability, config_.seed, conn_id,
+                 offset, kSaltReadStall)) {
     injected(read_stalls_);
     std::this_thread::sleep_for(config_.stall);
     return ::recv(fd, buf, len, flags);
   }
   if (len > 7 &&
-      coin(conn_id, offset, kSaltShortRead, config_.short_read_probability)) {
+      core::coin(config_.short_read_probability, config_.seed, conn_id,
+                 offset, kSaltShortRead)) {
     injected(short_reads_);
     return ::recv(fd, buf, 7, flags);
   }

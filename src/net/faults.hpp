@@ -91,8 +91,6 @@ class FaultyTransport {
   NetFaultCounts counts() const;
 
  private:
-  bool coin(std::uint64_t conn_id, std::uint64_t offset, std::uint64_t salt,
-            double probability) const noexcept;
   void injected(std::atomic<std::uint64_t>& counter) noexcept;
 
   NetFaultConfig config_;

@@ -13,12 +13,4 @@ std::vector<PeakPair> pair_peaks(std::span<const std::size_t> r_peaks,
   return pairs;
 }
 
-std::vector<PeakPair> pair_peaks(const std::vector<std::size_t>& r_peaks,
-                                 const std::vector<std::size_t>& systolic_peaks,
-                                 double rate_hz, double max_delay_s) {
-  return pair_peaks(std::span<const std::size_t>(r_peaks),
-                    std::span<const std::size_t>(systolic_peaks), rate_hz,
-                    max_delay_s);
-}
-
 }  // namespace sift::peaks

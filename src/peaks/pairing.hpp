@@ -21,8 +21,8 @@ struct PeakPair {
 inline constexpr double kDefaultMaxPairDelayS = 0.6;
 
 /// Streams each matched (r, systolic) pair to `emit` without materialising
-/// a pair list — the allocation-free core that both pair_peaks overloads
-/// and Portrait::rebuild share. Same two-pointer walk as pair_peaks: each
+/// a pair list — the allocation-free core that pair_peaks and
+/// Portrait::rebuild share. Same two-pointer walk as pair_peaks: each
 /// R peak takes the first later systolic peak within max_delay_s, and each
 /// systolic peak is used at most once. Inputs must be ascending.
 template <typename Emit>
@@ -47,12 +47,6 @@ void for_each_peak_pair(std::span<const std::size_t> r_peaks,
 /// @param rate_hz  shared sampling rate of both index lists
 std::vector<PeakPair> pair_peaks(std::span<const std::size_t> r_peaks,
                                  std::span<const std::size_t> systolic_peaks,
-                                 double rate_hz,
-                                 double max_delay_s = kDefaultMaxPairDelayS);
-
-/// Vector overload (kept so braced-list call sites keep compiling).
-std::vector<PeakPair> pair_peaks(const std::vector<std::size_t>& r_peaks,
-                                 const std::vector<std::size_t>& systolic_peaks,
                                  double rate_hz,
                                  double max_delay_s = kDefaultMaxPairDelayS);
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
@@ -94,6 +95,34 @@ TEST(Archive, RejectsGarbageHeader) {
   cohort::ArchiveReader reader(garbage);
   EXPECT_FALSE(reader.valid());
   EXPECT_THROW(cohort::decode_archive(garbage), std::runtime_error);
+}
+
+TEST(ModelStoreManifest, RejectsCountsTheFileCannotHold) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "sift_manifest_bound";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const cohort::ModelStore store(dir.string());
+  const auto write = [&](const std::string& text) {
+    std::ofstream(dir / "manifest.txt") << text;
+  };
+  write("sift-model-manifest v1\nusers 3\n4\n5\n6\n");
+  EXPECT_EQ(store.read_manifest(), (std::vector<int>{4, 5, 6}));
+  // Corrupt headers must fail typed, before sizing any allocation by them.
+  for (const char* count :
+       {"4000000000", "18446744073709551615", "-1", "4"}) {
+    write(std::string("sift-model-manifest v1\nusers ") + count +
+          "\n4\n5\n6\n");
+    try {
+      (void)store.read_manifest();
+      ADD_FAILURE() << "users " << count << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("manifest truncated"),
+                std::string::npos)
+          << count << ": " << e.what();
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(StreamingExtractor, MatchesBatchWindowWalk) {

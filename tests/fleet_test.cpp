@@ -1,9 +1,8 @@
-// Tests for the fleet runtime: metrics instruments, the bounded queue's
-// backpressure policies, the LRU model registry, the sharded session
-// table, and the multi-threaded engine against a single-threaded
-// reference. The stress test is the concurrency canary: it must stay
-// deterministic (block policy, per-user FIFO) and clean under
-// SIFT_SANITIZE=thread.
+// Tests for the fleet runtime: metrics instruments, the LRU model
+// registry, the sharded session table, and the multi-threaded engine
+// against a single-threaded reference. The stress test is the concurrency
+// canary: it must stay deterministic (block policy, per-user FIFO) and
+// clean under SIFT_SANITIZE=thread.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +21,6 @@
 
 #include "alloc_guard.hpp"
 #include "core/trainer.hpp"
-#include "fleet/bounded_queue.hpp"
 #include "fleet/engine.hpp"
 #include "fleet/metrics.hpp"
 #include "fleet/model_registry.hpp"
@@ -83,97 +81,6 @@ TEST(Metrics, JsonSnapshotListsEveryInstrument) {
   EXPECT_NE(json.find("fleet.detect_latency.p99_us"), std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
-}
-
-// --- bounded queue ----------------------------------------------------------
-
-TEST(BoundedQueue, DropOldestEvictsAndCounts) {
-  BoundedQueue<int> q(2, BackpressurePolicy::kDropOldest);
-  EXPECT_TRUE(q.push(1).accepted);
-  EXPECT_TRUE(q.push(2).accepted);
-  const auto r = q.push(3);
-  EXPECT_TRUE(r.accepted);
-  EXPECT_TRUE(r.dropped_oldest);
-  EXPECT_EQ(q.dropped(), 1u);
-  EXPECT_EQ(q.try_pop(), 2);
-  EXPECT_EQ(q.try_pop(), 3);
-  EXPECT_EQ(q.try_pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, BlockPolicyWaitsForSpace) {
-  BoundedQueue<int> q(1, BackpressurePolicy::kBlock);
-  EXPECT_TRUE(q.push(1).accepted);
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(q.push(2).accepted);  // blocks until the pop below
-    second_pushed.store(true);
-  });
-  // The producer must be parked: nothing popped yet.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(second_pushed.load());
-  EXPECT_EQ(q.pop(), 1);
-  producer.join();
-  EXPECT_TRUE(second_pushed.load());
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.dropped(), 0u);
-}
-
-TEST(BoundedQueue, TryPopNDrainsFifoUpToMax) {
-  BoundedQueue<int> q(8, BackpressurePolicy::kBlock);
-  for (int v = 1; v <= 5; ++v) EXPECT_TRUE(q.push(v).accepted);
-  std::vector<int> out;
-  out.reserve(8);
-  {
-    // The batched drain is on the worker hot path: with pre-reserved
-    // capacity it must never allocate.
-    sift::testing::AllocGuard guard;
-    EXPECT_EQ(q.try_pop_n(out, 3), 3u);
-    EXPECT_EQ(q.try_pop_n(out, 8), 2u) << "drains what is there";
-    EXPECT_EQ(q.try_pop_n(out, 8), 0u) << "empty queue pops nothing";
-    EXPECT_EQ(guard.count(), 0u);
-  }
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5})) << "FIFO preserved";
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BoundedQueue, TryPopNFreesSpaceForBlockedProducers) {
-  BoundedQueue<int> q(2, BackpressurePolicy::kBlock);
-  EXPECT_TRUE(q.push(1).accepted);
-  EXPECT_TRUE(q.push(2).accepted);
-  std::atomic<int> pushed{0};
-  std::thread p1([&] {
-    EXPECT_TRUE(q.push(3).accepted);
-    ++pushed;
-  });
-  std::thread p2([&] {
-    EXPECT_TRUE(q.push(4).accepted);
-    ++pushed;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(pushed.load(), 0) << "both producers parked on a full queue";
-  std::vector<int> out;
-  out.reserve(2);
-  // One batched drain frees two slots and must wake *both* producers.
-  EXPECT_EQ(q.try_pop_n(out, 2), 2u);
-  p1.join();
-  p2.join();
-  EXPECT_EQ(pushed.load(), 2);
-  EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(BoundedQueue, CloseWakesBlockedProducerAndDrains) {
-  BoundedQueue<int> q(1, BackpressurePolicy::kBlock);
-  EXPECT_TRUE(q.push(1).accepted);
-  std::thread producer([&] {
-    const auto r = q.push(2);  // blocked, then rejected by close
-    EXPECT_FALSE(r.accepted);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  producer.join();
-  EXPECT_FALSE(q.push(3).accepted) << "closed queue rejects";
-  EXPECT_EQ(q.pop(), 1) << "closed queue still drains";
-  EXPECT_EQ(q.pop(), std::nullopt) << "closed and empty";
 }
 
 // --- model registry ---------------------------------------------------------

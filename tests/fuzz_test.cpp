@@ -397,7 +397,8 @@ TEST(DurabilityFuzz, JournalSurvivesMutationSoup) {
 // the high-water run backwards.
 TEST(DurabilityFuzz, DuplicateFramesAreToleratedByRecovery) {
   FuzzDir dir("dup");
-  const std::string path = dir.path + "/journal.bin";
+  const std::string path =
+      fleet::durable::Durability::segment_file(dir.path, 0);
   {
     fleet::durable::Journal journal(path);
     fleet::durable::VerdictRecord rec;

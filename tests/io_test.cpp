@@ -263,19 +263,36 @@ TEST_F(IoTest, UserModelCrcCatchesTruncation) {
   }
 }
 
-TEST_F(IoTest, UserModelV1FilesRemainReadable) {
-  // An already-provisioned fleet has unchecksummed v1 artefacts on disk;
-  // synthesize one by swapping the v2 framing for the v1 magic.
+TEST_F(IoTest, UserModelV1FilesAreRejected) {
+  // Unchecksummed v1 artefacts are no longer read: swapping the v2 framing
+  // for the v1 magic must fail on the magic line, not load the body.
   std::stringstream ss;
   write_user_model(ss, *model_);
   const std::string v2 = ss.str();
   const std::size_t payload = v2.find('\n', v2.find("crc32 ")) + 1;
   std::stringstream v1("sift-user-model v1\n" + v2.substr(payload));
+  try {
+    (void)read_user_model(v1);
+    FAIL() << "v1 model loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+        << e.what();
+  }
+}
 
-  const core::UserModel restored = read_user_model(v1);
-  EXPECT_EQ(restored.user_id, model_->user_id);
-  EXPECT_EQ(restored.config.version, model_->config.version);
-  EXPECT_EQ(restored.svm.w, model_->svm.w);
+TEST_F(IoTest, UserModelRejectsHostileCrcHeaders) {
+  // The header is outside input: a non-hex crc, a size past the end of the
+  // stream or one that overflows must fail typed, before any allocation
+  // sized by it.
+  for (const char* header : {"crc32 zzzzzzzz 10",
+                             "crc32 00000000 18446744073709551615",
+                             "crc32 00000000 4000000000",
+                             "crc32 0x000000 10", "crc32 00000000 -1",
+                             "crc32 00000000 99999999999999999999"}) {
+    std::stringstream bad(std::string("sift-user-model v2\n") + header +
+                          "\nuser_id 1\n");
+    EXPECT_THROW((void)read_user_model(bad), std::runtime_error) << header;
+  }
 }
 
 }  // namespace

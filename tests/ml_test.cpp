@@ -97,10 +97,13 @@ TEST(Scaler, FromParamsRoundTrip) {
 
 TEST(Svm, DecisionValueIsAffine) {
   LinearSvmModel m{{2.0, -1.0}, 0.5};
-  EXPECT_DOUBLE_EQ(m.decision_value({1.0, 1.0}), 1.5);
-  EXPECT_EQ(m.predict({1.0, 1.0}), +1);
-  EXPECT_EQ(m.predict({-1.0, 1.0}), -1);
-  EXPECT_THROW(m.decision_value({1.0}), std::invalid_argument);
+  const std::vector<double> above{1.0, 1.0};
+  const std::vector<double> below{-1.0, 1.0};
+  const std::vector<double> too_short{1.0};
+  EXPECT_DOUBLE_EQ(m.decision_value(above), 1.5);
+  EXPECT_EQ(m.predict(above), +1);
+  EXPECT_EQ(m.predict(below), -1);
+  EXPECT_THROW(m.decision_value(too_short), std::invalid_argument);
 }
 
 TEST(Svm, TrainersValidateInput) {

@@ -147,7 +147,8 @@ TEST_F(OnlineTest, ReplayPreservesAttackDetection) {
 
 TEST_F(OnlineTest, AdapterValidatesInput) {
   OnlineAdapter adapter(*model_, {});
-  EXPECT_THROW(adapter.assimilate({1.0}, 0), std::invalid_argument);
+  const std::vector<double> too_short{1.0};
+  EXPECT_THROW(adapter.assimilate(too_short, 0), std::invalid_argument);
   std::vector<std::vector<double>> bad_reservoir{{1.0, 2.0}};
   EXPECT_THROW(OnlineAdapter(*model_, bad_reservoir), std::invalid_argument);
   UserModel unfitted;

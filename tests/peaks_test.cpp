@@ -173,8 +173,10 @@ TEST(Pairing, SystolicCoincidentWithRIsNotItsPair) {
 }
 
 TEST(Pairing, EmptyInputs) {
-  EXPECT_TRUE(pair_peaks({}, {1, 2}, 360.0).empty());
-  EXPECT_TRUE(pair_peaks({1, 2}, {}, 360.0).empty());
+  const std::vector<std::size_t> none;
+  const std::vector<std::size_t> two{1, 2};
+  EXPECT_TRUE(pair_peaks(none, two, 360.0).empty());
+  EXPECT_TRUE(pair_peaks(two, none, 360.0).empty());
 }
 
 }  // namespace

@@ -213,10 +213,6 @@ TEST(SpanOverloads, PairPeaksMatchesStreamingCore) {
   const std::vector<std::size_t> r{10, 100, 220, 340, 500};
   const std::vector<std::size_t> s{25, 130, 260, 600};
   const auto want = peaks::pair_peaks(r, s, 360.0);
-  const auto got =
-      peaks::pair_peaks(std::span<const std::size_t>(r),
-                        std::span<const std::size_t>(s), 360.0);
-  ASSERT_EQ(got.size(), want.size());
   std::size_t streamed = 0;
   peaks::for_each_peak_pair(r, s, 360.0, peaks::kDefaultMaxPairDelayS,
                             [&](std::size_t rp, std::size_t sp) {
@@ -237,12 +233,6 @@ TEST(SpanOverloads, ScalerAndSvmSpanPathsMatchVectorPaths) {
   std::vector<double> got(x.size());
   scaler.transform_into(x, got);
   EXPECT_EQ(got, want);
-
-  ml::LinearSvmModel svm;
-  svm.w = {0.5, -1.0, 2.0};
-  svm.b = 0.125;
-  EXPECT_EQ(svm.decision_value(std::span<const double>(x)),
-            svm.decision_value(x));
 }
 
 // --- normalisation properties -------------------------------------------------------

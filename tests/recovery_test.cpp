@@ -473,7 +473,7 @@ TEST_F(RecoveryTest, CorruptCheckpointFallsBackToPreviousGeneration) {
 // before the tear is preserved.
 TEST_F(RecoveryTest, TornJournalTailIsTruncatedOnReopen) {
   ScopedDir dir("torn");
-  const std::string path = dir.path + "/journal.bin";
+  const std::string path = durable::Durability::segment_file(dir.path, 0);
   constexpr std::size_t kFrame =
       durable::kVerdictRecordBytes + 8;  // payload + len/crc header
   {
@@ -588,7 +588,8 @@ TEST_F(RecoveryTest, JournalAppendIsAllocationFree) {
   ScopedDir dir("alloc");
   durable::JournalConfig jc;
   jc.buffer_records = 4096;
-  durable::Journal journal(dir.path + "/journal.bin", jc);
+  durable::Journal journal(durable::Durability::segment_file(dir.path, 0),
+                           jc);
   durable::VerdictRecord rec;
   rec.user_id = 1;
   rec.seq = 0;

@@ -7,11 +7,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "fleet/bounded_queue.hpp"
 #include "fleet/spsc_ring.hpp"
 
 namespace sift::fleet {
@@ -112,11 +112,11 @@ TEST(SpscRingTest, ShedRequestsAccumulateAndClaimOnce) {
   EXPECT_EQ(ring.take_shed_requests(), 0u) << "claims are consumed";
 }
 
-// The ring must deliver the exact same stream as the mutexed BoundedQueue
-// it replaced: feed both the same input and compare outputs element-wise.
-TEST(SpscRingTest, BitIdenticalToBoundedQueueReference) {
+// The ring must deliver the exact same stream as a plain FIFO: feed it and
+// a std::deque the same input and compare outputs element-wise.
+TEST(SpscRingTest, BitIdenticalToDequeReference) {
   SpscRing<std::uint64_t> ring(256);
-  BoundedQueue<std::uint64_t> queue(256, BackpressurePolicy::kBlock);
+  std::deque<std::uint64_t> queue;
   std::uint32_t state = 0x9E3779B9u;
   std::vector<std::uint64_t> from_ring;
   std::vector<std::uint64_t> from_queue;
@@ -126,7 +126,8 @@ TEST(SpscRingTest, BitIdenticalToBoundedQueueReference) {
     while (ring.pop_n(scratch, 64) > 0) {
     }
     from_ring.insert(from_ring.end(), scratch.begin(), scratch.end());
-    while (auto out = queue.try_pop()) from_queue.push_back(*out);
+    from_queue.insert(from_queue.end(), queue.begin(), queue.end());
+    queue.clear();
   };
   for (int i = 0; i < 5000; ++i) {
     state = state * 1664525u + 1013904223u;  // deterministic LCG
@@ -135,7 +136,7 @@ TEST(SpscRingTest, BitIdenticalToBoundedQueueReference) {
         static_cast<std::uint64_t>(i);
     std::uint64_t v1 = value;
     ASSERT_TRUE(ring.try_push(v1));
-    ASSERT_TRUE(queue.push(value).accepted);
+    queue.push_back(value);
     if ((state & 7u) == 0) drain_both();  // drain in irregular batches
   }
   drain_both();
