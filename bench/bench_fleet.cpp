@@ -151,44 +151,6 @@ BENCHMARK(BM_FleetDurableWindowsPerSec)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Batch-depth sweep at the stress point (4 workers × 64 sessions):
-// max_batch=1 is the legacy one-envelope-per-lock path; deeper batches
-// amortise the queue and session-table locks. The curve should rise from
-// 1 and flatten once lock cost stops dominating per-window detection.
-void BM_FleetBatchSweep(benchmark::State& state) {
-  const auto max_batch = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kSessions = 64;
-  const auto& fixture = fixture_for(kSessions);
-
-  std::uint64_t windows = 0;
-  for (auto _ : state) {
-    fleet::FleetConfig config;
-    config.workers = 4;
-    config.shards = 8;
-    config.queue_capacity = 1024;
-    config.max_batch = max_batch;
-    config.backpressure = fleet::BackpressurePolicy::kBlock;
-    fleet::FleetEngine engine(fixture.provider(), config);
-    const auto result = fleet::replay_through(engine, fixture, /*producers=*/1);
-    windows += result.windows_classified;
-  }
-  state.counters["windows_per_sec"] =
-      benchmark::Counter(static_cast<double>(windows),
-                         benchmark::Counter::kIsRate);
-  state.counters["max_batch"] = static_cast<double>(max_batch);
-  state.SetItemsProcessed(static_cast<std::int64_t>(windows));
-}
-
-BENCHMARK(BM_FleetBatchSweep)
-    ->ArgName("max_batch")
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(8)
-    ->Arg(16)
-    ->Arg(64)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 // --- machine-readable snapshot (--json <path>) -----------------------------------
 
 /// Steady-state allocations per classified window for one session: replay
@@ -235,7 +197,6 @@ int write_json_snapshot(const std::string& path) {
   config.workers = kWorkers;
   config.shards = 8;
   config.queue_capacity = 1024;
-  config.max_batch = 1;  // unbatched: comparable with pre-batching baselines
   config.backpressure = fleet::BackpressurePolicy::kBlock;
   fleet::FleetEngine engine(fixture.provider(), config);
   const auto result = fleet::replay_through(engine, fixture, /*producers=*/1);
@@ -245,57 +206,6 @@ int write_json_snapshot(const std::string& path) {
   const double windows_per_sec =
       static_cast<double>(result.windows_classified) / elapsed_s;
   const double allocs_per_window = session_allocs_per_window(fixture);
-
-  // Batched vs unbatched A/B. A single back-to-back pair on this small
-  // fixture is order noise — the first replay warms the page cache, branch
-  // predictors, and allocator arenas for the second, which once reported a
-  // phantom 15% batching regression. Alternate the two configurations
-  // rep-by-rep, flipping which side goes first each pair (the second
-  // replay of a pair inherits a warmer machine), and aggregate total
-  // windows / total wall time per side across all reps. Each rep times
-  // the full engine lifecycle (construct, replay, drain, teardown) so the
-  // unbatched side also pays its extra wakeup churn on the stop edges.
-  constexpr int kBatchReps = 25;
-  struct BatchAccum {
-    std::uint64_t windows = 0;
-    double elapsed_s = 0.0;
-    double rate() const {
-      return elapsed_s > 0.0 ? static_cast<double>(windows) / elapsed_s : 0.0;
-    }
-  };
-  const auto replay_into = [&](std::size_t max_batch, BatchAccum& acc) {
-    fleet::FleetConfig rep_config = config;
-    rep_config.max_batch = max_batch;
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t rep_windows = 0;
-    {
-      fleet::FleetEngine rep_engine(fixture.provider(), rep_config);
-      const auto rep_result =
-          fleet::replay_through(rep_engine, fixture, /*producers=*/1);
-      rep_windows = rep_result.windows_classified;
-    }
-    acc.elapsed_s +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    acc.windows += rep_windows;
-  };
-  fleet::FleetConfig batched_config = config;
-  batched_config.max_batch = fleet::FleetConfig{}.max_batch;
-  BatchAccum unbatched_acc;
-  BatchAccum batched_acc;
-  for (int rep = 0; rep < kBatchReps; ++rep) {
-    if (rep % 2 == 0) {
-      replay_into(batched_config.max_batch, batched_acc);
-      replay_into(1, unbatched_acc);
-    } else {
-      replay_into(1, unbatched_acc);
-      replay_into(batched_config.max_batch, batched_acc);
-    }
-  }
-  const double windows_per_sec_batched = batched_acc.rate();
-  const double batched_speedup =
-      unbatched_acc.rate() > 0.0 ? batched_acc.rate() / unbatched_acc.rate()
-                                 : 0.0;
 
   // Durable run: identical replay with the verdict journal on the hot path
   // and a checkpoint mid-stream + at the end — the overhead figure CI
@@ -334,7 +244,6 @@ int write_json_snapshot(const std::string& path) {
   BenchDir net_dir;
   net::PacketPool pool;
   fleet::FleetConfig served_config = config;
-  served_config.max_batch = fleet::FleetConfig{}.max_batch;
   served_config.packet_return = pool.returner();
   fleet::FleetEngine served_engine(fixture.provider(), served_config);
   net::NetServerConfig server_config;
@@ -442,9 +351,6 @@ int write_json_snapshot(const std::string& path) {
                "  \"sessions\": %zu,\n"
                "  \"windows\": %llu,\n"
                "  \"windows_per_sec\": %.1f,\n"
-               "  \"windows_per_sec_batched\": %.1f,\n"
-               "  \"max_batch\": %zu,\n"
-               "  \"batched_speedup\": %.3f,\n"
                "  \"detect_p50_us\": %.3f,\n"
                "  \"detect_p99_us\": %.3f,\n"
                "  \"session_allocs_per_window\": %.4f,\n"
@@ -475,9 +381,7 @@ int write_json_snapshot(const std::string& path) {
                "}\n",
                kWorkers, kSessions,
                static_cast<unsigned long long>(result.windows_classified),
-               windows_per_sec, windows_per_sec_batched,
-               batched_config.max_batch, batched_speedup,
-               latency.quantile_us(0.5),
+               windows_per_sec, latency.quantile_us(0.5),
                latency.quantile_us(0.99), allocs_per_window,
                count("fleet.packets_rejected"),
                count("fleet.sessions_quarantined"),
@@ -503,14 +407,12 @@ int write_json_snapshot(const std::string& path) {
                static_cast<unsigned long long>(
                    disarmed_shim.counts().total()));
   std::fclose(f);
-  std::printf("fleet: %.0f windows/s unbatched, %.0f batched (x%.2f at "
-              "max_batch %zu, %zu workers), durable %.0f windows/s "
+  std::printf("fleet: %.0f windows/s (%zu workers), durable %.0f windows/s "
               "(%.1f%% overhead), net %.0f windows/s / %.0f packets/s "
               "(%zu conns, %llu stalls), resume %.0f packets/s, "
               "shim-disabled %.0f packets/s, detect p50 %.2f us, "
               "p99 %.2f us, %.4f allocs/window -> %s\n",
-              windows_per_sec, windows_per_sec_batched, batched_speedup,
-              batched_config.max_batch, kWorkers, durable_windows_per_sec,
+              windows_per_sec, kWorkers, durable_windows_per_sec,
               durable_overhead_pct, net_windows_per_sec, net_packets_per_sec,
               drive.connections,
               static_cast<unsigned long long>(net_stalls),

@@ -30,7 +30,6 @@ FleetConfig resolve_validation(FleetConfig config) {
   if (config.validation.expected_samples == 0) {
     config.validation.expected_samples = config.station.samples_per_packet;
   }
-  if (config.max_producers < 2) config.max_producers = 2;
   return config;
 }
 
@@ -126,20 +125,20 @@ void FleetEngine::resolve_instruments() {
 
   const std::size_t n_workers =
       std::min(resolve_workers(config_.workers), config_.shards);
-  slots_.reserve(config_.max_producers);
-  for (std::size_t p = 0; p < config_.max_producers; ++p) {
+  slots_.reserve(kProducerSlots);
+  for (std::size_t p = 0; p < kProducerSlots; ++p) {
     slots_.push_back(std::make_unique<ProducerSlot>());
   }
   worker_states_.reserve(n_workers);
   for (std::size_t w = 0; w < n_workers; ++w) {
     auto state = std::make_unique<WorkerState>();
     state->index = w;
-    state->rings.reserve(config_.max_producers);
-    for (std::size_t p = 0; p < config_.max_producers; ++p) {
+    state->rings.reserve(kProducerSlots);
+    for (std::size_t p = 0; p < kProducerSlots; ++p) {
       state->rings.push_back(
           std::make_unique<SpscRing<Envelope>>(config_.queue_capacity));
     }
-    state->batch.reserve(std::max<std::size_t>(1, config_.max_batch));
+    state->batch.reserve(kDrainChunk);
     const std::string prefix = "fleet.worker." + std::to_string(w);
     state->packets = &metrics_.counter(prefix + ".packets");
     state->batches = &metrics_.counter(prefix + ".batches");
@@ -213,20 +212,24 @@ SessionCursors FleetEngine::cursors_for_resume(int user_id) {
 }
 
 void FleetEngine::note_suspicion(int user_id) {
-  if (!config_.anti_replay.enabled) return;
-  table_.with_session(table_.shard_of(user_id), user_id, [&](Session& s) {
-    Session::Health& health = s.health();
-    health.suspicion += config_.anti_replay.suspicion_step;
-    if (!health.quarantined &&
-        health.suspicion >= config_.anti_replay.suspicion_threshold) {
-      health.quarantined = true;
-      ++health.quarantine_entries;
-      ++health.suspect_entries;
-      quarantine_entries_->add();
-      suspect_sessions_->add();
-      health.probe_countdown = config_.supervision.probe_interval;
-    }
-  });
+  table_.with_session(table_.shard_of(user_id), user_id,
+                      [&](Session& s) { charge_suspicion(s.health()); });
+}
+
+void FleetEngine::charge_suspicion(Session::Health& health) {
+  health.suspicion += kSuspicionStep;
+  if (!health.quarantined &&
+      health.suspicion >= config_.anti_replay.suspicion_threshold) {
+    // Suspect session: withhold verdicts and shed packets, but keep it
+    // alive — the probe machinery re-admits it as soon as clean traffic
+    // resumes (graceful degradation, not a hard drop).
+    health.quarantined = true;
+    ++health.quarantine_entries;
+    ++health.suspect_entries;
+    quarantine_entries_->add();
+    suspect_sessions_->add();
+    health.probe_countdown = config_.supervision.probe_interval;
+  }
 }
 
 bool FleetEngine::ingest(int user_id, wiot::Packet packet) {
@@ -248,17 +251,11 @@ FleetEngine::ProducerSlot& FleetEngine::acquire_slot(std::size_t& index) {
       index = p;
       return *slots_[p];
     }
-    if (owner == 0) {
-      std::uint64_t expected = 0;
-      if (slots_[p]->owner.compare_exchange_strong(
-              expected, token, std::memory_order_acq_rel)) {
-        index = p;
-        return *slots_[p];
-      }
-      if (expected == token) {  // lost the race to ourselves: impossible,
-        index = p;              // but harmless to honour
-        return *slots_[p];
-      }
+    std::uint64_t expected = 0;
+    if (owner == 0 && slots_[p]->owner.compare_exchange_strong(
+                          expected, token, std::memory_order_acq_rel)) {
+      index = p;
+      return *slots_[p];
     }
   }
   index = overflow;  // shared overflow lane, serialised by its mutex
@@ -285,9 +282,8 @@ IngestStatus FleetEngine::ingest_impl(int user_id, wiot::Packet& packet,
   // Validation gate: a NaN sample or an insane sequence number must never
   // reach a ring, let alone a worker. Rejects are charged to the
   // session so one hostile wearer's garbage is visible as *their* problem.
-  if (config_.validate_ingest &&
-      wiot::validate_packet(packet, config_.validation) !=
-          wiot::PacketFault::kNone) {
+  if (wiot::validate_packet(packet, config_.validation) !=
+      wiot::PacketFault::kNone) {
     std::lock_guard lock(reject_mu_);
     RejectState& st = rejects_by_user_[user_id];
     if (config_.durability) {
@@ -391,7 +387,6 @@ std::size_t FleetEngine::inbound_depth(const WorkerState& w) const {
 
 std::size_t FleetEngine::sweep_inbound_rings(WorkerState& self) {
   std::size_t processed = 0;
-  const std::size_t max_batch = std::max<std::size_t>(1, config_.max_batch);
   for (auto& ring_ptr : self.rings) {
     SpscRing<Envelope>& ring = *ring_ptr;
     // Execute pending shed requests first: under kDropOldest a producer
@@ -408,7 +403,7 @@ std::size_t FleetEngine::sweep_inbound_rings(WorkerState& self) {
     }
     for (;;) {
       self.batch.clear();
-      if (ring.pop_n(self.batch, max_batch) == 0) break;
+      if (ring.pop_n(self.batch, kDrainChunk) == 0) break;
       self.batches->add();
       self.batch_size->observe(static_cast<double>(self.batch.size()));
       process_batch(self, self.batch);
@@ -496,24 +491,16 @@ void FleetEngine::process_batch(WorkerState& self,
     }
   }
   // The backlog a shed decision should see is everything still waiting on
-  // this core; resolved once per batch (rings are this worker's own, so
-  // the value only shrinks as the batch progresses).
+  // this core; resolved once per chunk (rings are this worker's own, so
+  // the value only shrinks as the chunk progresses).
   const std::size_t ring_depth = inbound_depth(self);
   const std::size_t n = batch.size();
   for (std::size_t i = 0; i < n; ++i) {
-    if (batch[i].handled) continue;
-    const int user = batch[i].user_id;
-    const std::size_t shard = batch[i].shard;
-    table_.with_session(shard, user, [&](Session& session) {
-      // One shard-lock acquisition covers every packet this user has in
-      // the batch, classified back-to-back in FIFO order. The lock is
-      // uncontended on the detection path: this worker owns the shard,
-      // only checkpoint/stats readers ever share it.
-      for (std::size_t j = i; j < n; ++j) {
-        if (batch[j].user_id != user) continue;
-        batch[j].handled = true;
-        process_one(self, session, batch[j], n - j - 1, ring_depth);
-      }
+    Envelope& env = batch[i];
+    // The shard lock is uncontended on the detection path: this worker
+    // owns the shard, only checkpoint/stats readers ever share it.
+    table_.with_session(env.shard, env.user_id, [&](Session& session) {
+      process_one(self, session, env, n - i - 1, ring_depth);
     });
   }
 }
@@ -530,51 +517,37 @@ void FleetEngine::process_one(WorkerState& self, Session& session,
     Session::Health& health = session.health();
     // Anti-replay gate, ahead of the cursor advance: the session's
     // per-channel cursors are the defender's state, already core-local.
-    bool spoofed_forward = false;
-    if (config_.anti_replay.enabled) {
-      const SessionCursors& cur = session.cursors();
-      const std::uint32_t next =
-          env.packet.kind == wiot::ChannelKind::kEcg ? cur.ecg : cur.abp;
-      const std::uint32_t seq = env.packet.seq;
-      // A reconnecting client legitimately resends its unacked tail from
-      // behind the cursor; while the resume grace is armed those backward
-      // seqs fall through to the station dedupe instead of counting as
-      // replay anomalies. First forward-progress packet clears the grace.
-      const bool replayed = seq < next &&
-                            next - seq > config_.anti_replay.replay_window &&
-                            !session.resume_grace_active(env.packet.kind);
-      spoofed_forward = config_.station.max_seq_jump != 0 && seq > next &&
-                        seq - next > config_.station.max_seq_jump;
-      if (seq >= next && !spoofed_forward) {
-        session.clear_resume_grace(env.packet.kind);
+    const SessionCursors& cur = session.cursors();
+    const std::uint32_t next =
+        env.packet.kind == wiot::ChannelKind::kEcg ? cur.ecg : cur.abp;
+    const std::uint32_t seq = env.packet.seq;
+    // A reconnecting client legitimately resends its unacked tail from
+    // behind the cursor; while the resume grace is armed those backward
+    // seqs fall through to the station dedupe instead of counting as
+    // replay anomalies. First forward-progress packet clears the grace.
+    const bool replayed = seq < next &&
+                          next - seq > config_.anti_replay.replay_window &&
+                          !session.resume_grace_active(env.packet.kind);
+    const bool spoofed_forward = config_.station.max_seq_jump != 0 &&
+                                 seq > next &&
+                                 seq - next > config_.station.max_seq_jump;
+    if (seq >= next && !spoofed_forward) {
+      session.clear_resume_grace(env.packet.kind);
+    }
+    if (replayed || spoofed_forward) {
+      ++health.seq_anomalies;
+      seq_anomalies_->add();
+      charge_suspicion(health);
+      if (replayed) {
+        // Dropped before it can touch reassembly state or recount
+        // against the durability dedupe cursors.
+        replay_dropped_->add();
+        return;
       }
-      if (replayed || spoofed_forward) {
-        ++health.seq_anomalies;
-        seq_anomalies_->add();
-        health.suspicion += config_.anti_replay.suspicion_step;
-        if (!health.quarantined &&
-            health.suspicion >= config_.anti_replay.suspicion_threshold) {
-          // Suspect session: withhold verdicts and shed packets, but keep
-          // it alive — the probe machinery below re-admits it as soon as
-          // clean traffic resumes (graceful degradation, not a hard drop).
-          health.quarantined = true;
-          ++health.quarantine_entries;
-          ++health.suspect_entries;
-          quarantine_entries_->add();
-          suspect_sessions_->add();
-          health.probe_countdown = config_.supervision.probe_interval;
-        }
-        if (replayed) {
-          // Dropped before it can touch reassembly state or recount
-          // against the durability dedupe cursors.
-          replay_dropped_->add();
-          return;
-        }
-        // A forward spoof falls through to the station, which refuses it
-        // (seq_rejected) exactly as before — but it must NOT advance the
-        // ingest cursor, or the forged far-future seq would orphan every
-        // genuine packet a post-crash replay should re-feed.
-      }
+      // A forward spoof falls through to the station, which refuses it
+      // (seq_rejected) exactly as before — but it must NOT advance the
+      // ingest cursor, or the forged far-future seq would orphan every
+      // genuine packet a post-crash replay should re-feed.
     }
     // Durability cursor: every delivered packet counts, even ones the
     // quarantine or fault paths below consume without classifying —

@@ -53,7 +53,7 @@ class Session {
     std::size_t shed_cooldown = 0;    ///< packets until next tier move
     std::uint64_t validation_rejects = 0;  ///< ingest-side rejects
     // Anti-replay accounting (see FleetConfig::anti_replay). Suspicion is a
-    // leaky bucket: each sequence anomaly adds suspicion_step, each cleanly
+    // leaky bucket: each sequence anomaly adds a fixed 16, each cleanly
     // processed packet drains one unit; crossing suspicion_threshold moves
     // the session into quarantine (verdicts withheld, probe-based exit).
     std::uint64_t seq_anomalies = 0;  ///< replay/spoof events on this session

@@ -24,6 +24,8 @@
 
 #include <atomic>
 #include <cstddef>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace sift::fleet {
@@ -32,7 +34,16 @@ template <typename T>
 class SpscRing {
  public:
   /// @p capacity is rounded up to the next power of two (min 2).
+  /// @throws std::invalid_argument on zero, or when the rounding would
+  /// overflow std::size_t.
   explicit SpscRing(std::size_t capacity) {
+    constexpr std::size_t kMaxCapacity =
+        (std::numeric_limits<std::size_t>::max() >> 1) + 1;
+    if (capacity == 0 || capacity > kMaxCapacity) {
+      throw std::invalid_argument(
+          "SpscRing: capacity must be non-zero and round up to a power of "
+          "two that fits size_t");
+    }
     std::size_t cap = 2;
     while (cap < capacity) cap <<= 1;
     slots_.resize(cap);
@@ -52,18 +63,6 @@ class SpscRing {
     }
     slots_[tail & mask_] = std::move(v);
     tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Consumer side. Returns false when the ring is empty.
-  bool try_pop(T& out) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    if (head == cached_tail_) {  // looks empty: refresh the cache
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (head == cached_tail_) return false;
-    }
-    out = std::move(slots_[head & mask_]);
-    head_.store(head + 1, std::memory_order_release);
     return true;
   }
 

@@ -292,10 +292,11 @@ TEST_F(ChaosTest, OverloadBurstWalksTheDegradationLadderAndRecovers) {
   // (cooldown 4 ⇒ the second lands on the session's 6th packet).
   fc.overload_until_dequeue = 10 * n0;
   // The depth a shed check observes is the shard queue plus the worker's
-  // remaining batch, so a naturally saturated queue can read as high as
-  // capacity + max_batch - 1. Put the watermark past that: only the
+  // remaining chunk, so a naturally saturated queue can read as high as
+  // capacity + kDrainChunk - 1. Put the watermark past that: only the
   // injector's forced depth can cross it.
-  fc.overload_forced_depth = config.queue_capacity + config.max_batch + 2;
+  fc.overload_forced_depth =
+      config.queue_capacity + FleetEngine::kDrainChunk + 2;
   FaultInjector injector(fc);
 
   config.injector = &injector;

@@ -3,7 +3,7 @@
 // dropped before reassembly, forward seq spoofs never advance the ingest
 // cursors, suspicion quarantines a session under sustained attack and the
 // probe machinery recovers it, and the whole path stays deterministic
-// across worker counts and batching modes.
+// across worker counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -377,7 +377,7 @@ TEST_F(AntiReplayTest, SustainedReplayQuarantinesAndProbeRecovers) {
   EXPECT_GT(r.windows, 0u);
 }
 
-TEST_F(AntiReplayTest, DefensesAreDeterministicAcrossWorkersAndBatching) {
+TEST_F(AntiReplayTest, DefensesAreDeterministicAcrossWorkers) {
   wiot::StreamAttackConfig attack;
   attack.kind = wiot::StreamAttackKind::kReplayPastCursor;
   attack.probability = 0.3;
@@ -387,10 +387,8 @@ TEST_F(AntiReplayTest, DefensesAreDeterministicAcrossWorkersAndBatching) {
 
   FleetConfig narrow = base_config();
   narrow.workers = 1;
-  narrow.max_batch = 1;
   FleetConfig wide = base_config();
   wide.workers = 4;
-  wide.max_batch = 16;
   const RunResult a = run(narrow, stream);
   const RunResult b = run(wide, stream);
 
@@ -422,23 +420,6 @@ TEST_F(AntiReplayTest, PerUserAnomalyBreakdownAppearsInSnapshot) {
   EXPECT_NE(json.find("fleet.user.0.seq_anomalies"), std::string::npos)
       << "per-user breakdown missing from the snapshot";
   EXPECT_NE(json.find("fleet.suspect_sessions_active"), std::string::npos);
-}
-
-TEST_F(AntiReplayTest, DisabledGateRestoresLegacyBehaviour) {
-  wiot::StreamAttackConfig attack;
-  attack.kind = wiot::StreamAttackKind::kReplayPastCursor;
-  attack.probability = 0.1;
-  wiot::StreamAttackStats stats;
-  const auto attacked = wiot::apply_stream_attack(*clean_, attack, &stats);
-
-  FleetConfig config = base_config();
-  config.anti_replay.enabled = false;
-  const RunResult r = run(config, attacked);
-  EXPECT_EQ(r.seq_anomalies, 0u);
-  EXPECT_EQ(r.replay_dropped, 0u);
-  // Legacy path: the station's own dedupe still absorbs the replays.
-  EXPECT_EQ(r.station.duplicates_ignored, stats.injected);
-  expect_conservation(r);
 }
 
 }  // namespace

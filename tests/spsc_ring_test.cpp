@@ -8,6 +8,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,11 +27,20 @@ TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(SpscRing<int>(1000).capacity(), 1024u);
 }
 
+// Zero is not a ring. Past 2^63 the power-of-two doubling would wrap to
+// zero and never terminate, so any capacity whose rounding overflows must
+// throw as well.
+TEST(SpscRingTest, OutOfRangeCapacityIsRejected) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  for (const std::size_t capacity : {std::size_t{0}, kMax, (kMax >> 1) + 2}) {
+    EXPECT_THROW(SpscRing<int>{capacity}, std::invalid_argument) << capacity;
+  }
+}
+
 TEST(SpscRingTest, EmptyRingPopsNothing) {
   SpscRing<int> ring(4);
-  int v = 0;
-  EXPECT_FALSE(ring.try_pop(v));
   std::vector<int> batch;
+  EXPECT_EQ(ring.pop_n(batch, 1), 0u);
   EXPECT_EQ(ring.pop_n(batch, 16), 0u);
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(ring.size(), 0u);
@@ -47,9 +58,9 @@ TEST(SpscRingTest, FullRingRejectsPushAndLeavesValueIntact) {
       << "a rejected push must not consume the value";
   EXPECT_EQ(ring.size(), 4u);
 
-  std::string out;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, "payload-0");
+  std::vector<std::string> out;
+  ASSERT_EQ(ring.pop_n(out, 1), 1u);
+  EXPECT_EQ(out[0], "payload-0");
   EXPECT_TRUE(ring.try_push(extra)) << "one pop frees exactly one slot";
 }
 
@@ -65,9 +76,9 @@ TEST(SpscRingTest, WrapAroundPreservesFifoOrder) {
       ASSERT_TRUE(ring.try_push(v));
     }
     for (int i = 0; i < 3; ++i) {
-      int v = -1;
-      ASSERT_TRUE(ring.try_pop(v));
-      EXPECT_EQ(v, next_pop++);
+      std::vector<int> v;
+      ASSERT_EQ(ring.pop_n(v, 1), 1u);
+      EXPECT_EQ(v[0], next_pop++);
     }
   }
   EXPECT_EQ(ring.size(), 0u);
@@ -95,9 +106,9 @@ TEST(SpscRingTest, DiscardNRecyclesFromTheHead) {
   std::vector<int> recycled;
   EXPECT_EQ(ring.discard_n(3, [&](int&& v) { recycled.push_back(v); }), 3u);
   EXPECT_EQ(recycled, (std::vector<int>{0, 1, 2}));
-  int v = -1;
-  ASSERT_TRUE(ring.try_pop(v));
-  EXPECT_EQ(v, 3) << "survivors keep their order";
+  std::vector<int> v;
+  ASSERT_EQ(ring.pop_n(v, 1), 1u);
+  EXPECT_EQ(v[0], 3) << "survivors keep their order";
   EXPECT_EQ(ring.discard_n(10, [](int&&) {}), 1u)
       << "discard is bounded by what is actually queued";
 }

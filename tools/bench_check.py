@@ -11,7 +11,7 @@ Usage:
 The pipeline runs are optional: a job that only exercises the offline
 cohort path can pass --cohort alone and skip the pipeline gate.
 
-Three gates, each exits 1 on failure:
+Four gates, each exits 1 on failure:
 
   1. Pipeline: the MEDIAN `windows_per_sec` across the given bench_pipeline
      snapshots (run it several times; single runs on shared CI boxes are
@@ -23,14 +23,7 @@ Three gates, each exits 1 on failure:
      (default 35% — the engine multiplexes worker threads over whatever
      cores the runner has, so it needs more headroom than the
      single-threaded pipeline) of the baseline's `fleet.windows_per_sec`.
-     `batched_speedup` must stay >= --batch-floor (default 1.0) minus
-     --batch-noise (default 0.08): the snapshot measures it from
-     interleaved unbatched/batched reps, which centres a neutral host
-     (e.g. a 1-core runner, where lock amortisation has nothing to
-     amortise) tightly on 1.0 with a few percent of jitter — the noise
-     band admits that jitter while still failing a genuine batching
-     regression like the phantom 0.85 a one-shot A/B once reported. The
-     durable/net fleet numbers stay advisory.
+     The durable/net fleet numbers stay advisory.
 
   3. Cohort (--cohort): the bench_cohort --json snapshot. The workload is
      seed-deterministic, so the structural counters (users, windows,
@@ -49,8 +42,8 @@ Three gates, each exits 1 on failure:
      hot path is exactly what this catches. A 1-core runner produces a
      single point and passes trivially.
 
-Everything else (pipeline p50/p99, allocs/window, batched/durable/net
-fleet throughput) is printed as ADVISORY and never fails the check.
+Everything else (pipeline p50/p99, allocs/window, durable/net fleet
+throughput) is printed as ADVISORY and never fails the check.
 
 Stdlib only; no third-party imports.
 """
@@ -83,12 +76,6 @@ def main():
     parser.add_argument("--fleet-tolerance", type=float, default=0.35,
                         help="allowed fractional fleet windows_per_sec drop, "
                              "also the scaling monotonicity slack")
-    parser.add_argument("--batch-floor", type=float, default=1.0,
-                        help="minimum fleet batched_speedup (batching must "
-                             "never slow the engine down)")
-    parser.add_argument("--batch-noise", type=float, default=0.08,
-                        help="measurement jitter allowed below --batch-floor "
-                             "before the batching gate fails")
     parser.add_argument("--cohort", default=None,
                         help="bench_cohort --json snapshot (gated)")
     parser.add_argument("--cohort-tolerance", type=float, default=0.5,
@@ -154,20 +141,7 @@ def main():
                     f"fleet windows_per_sec regressed more than "
                     f"{args.fleet_tolerance:.0%}: "
                     f"{fleet_wps:.0f} < {fleet_floor:.0f}")
-        speedup = float(fleet.get("batched_speedup", 0.0))
-        if speedup > 0.0:
-            batch_min = args.batch_floor - args.batch_noise
-            print(f"fleet batched_speedup: {speedup:.3f} "
-                  f"(floor {args.batch_floor:.2f} - "
-                  f"noise {args.batch_noise:.2f} = {batch_min:.2f})")
-            if speedup < batch_min:
-                failures.append(
-                    f"batching slowed the engine: batched_speedup "
-                    f"{speedup:.3f} < {batch_min:.2f} "
-                    f"(floor {args.batch_floor:.2f} minus "
-                    f"{args.batch_noise:.2f} noise)")
-        for key in ("windows_per_sec_batched", "windows_per_sec_durable",
-                    "net_windows_per_sec",
+        for key in ("windows_per_sec_durable", "net_windows_per_sec",
                     "net_packets_per_sec", "net_resume_packets_per_sec",
                     "net_shim_disabled_packets_per_sec"):
             if key in fleet:

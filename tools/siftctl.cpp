@@ -42,6 +42,7 @@
 #include <optional>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -109,8 +110,7 @@ int usage() {
                "         core; explicit counts are clamped to the cores\n"
                "         actually present)\n"
                "        [--pin-cores]    pin worker w to CPU core w\n"
-               "        [--shards N] [--queue-capacity N] [--max-batch N]\n"
-               "        [--producers N]\n"
+               "        [--shards N] [--queue-capacity N] [--producers N]\n"
                "        [--policy block|drop-oldest] [--models K]\n"
                "        [--chaos SEED]   inject a deterministic fault schedule\n"
                "                         (corruption, provider failures,\n"
@@ -130,7 +130,7 @@ int usage() {
                "        [--models K] [--train-seconds S] [--seed N]\n"
                "        [--workers N]    0 (default) = one per core, clamped\n"
                "        [--pin-cores] [--shards N] [--queue-capacity N]\n"
-               "        [--max-batch N] [--policy block|drop-oldest]\n"
+               "        [--policy block|drop-oldest]\n"
                "        [--max-connections N] [--idle-timeout-ms MS]\n"
                "        [--stall-timeout-ms MS]  reap write-stalled /\n"
                "                         backpressure-parked peers (0 =\n"
@@ -589,47 +589,36 @@ int cmd_profile(std::span<const std::string> args) {
   return 0;
 }
 
-int cmd_fleet(std::span<const std::string> args) {
-  fleet::ReplayConfig replay;
+/// Flags `fleet` and `serve` share: engine shape, durability and the model
+/// store.
+struct EngineArgs {
   fleet::FleetConfig config;
-  std::size_t producers = 4;
-  bool chaos = false;
-  std::uint64_t chaos_seed = 1;
   std::string checkpoint_dir;
-  std::string model_store_dir;
   std::size_t checkpoint_interval_ms = 500;
+  std::string model_store_dir;
   bool recover = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
+
+  /// Consumes args[i] (and its value, advancing @p i) when it is a shared
+  /// flag. Returns false otherwise, including for a shared flag whose
+  /// value is missing. @throws std::invalid_argument on an unknown policy.
+  bool parse(std::span<const std::string> args, std::size_t& i) {
     const std::string& flag = args[i];
     if (flag == "--recover") {
       recover = true;
-      continue;
+      return true;
     }
     if (flag == "--pin-cores") {
       config.pin_cores = true;
-      continue;
+      return true;
     }
-    if (i + 1 >= args.size()) return usage();
-    const std::string& value = args[++i];
-    if (flag == "--sessions") {
-      replay.sessions = std::stoul(value);
-    } else if (flag == "--seconds") {
-      replay.seconds = std::stod(value);
-    } else if (flag == "--workers") {
+    if (i + 1 >= args.size()) return false;
+    const std::string& value = args[i + 1];
+    if (flag == "--workers") {
       config.workers = std::stoul(value);
     } else if (flag == "--shards") {
       config.shards = std::stoul(value);
     } else if (flag == "--queue-capacity") {
       config.queue_capacity = std::stoul(value);
-    } else if (flag == "--max-batch") {
-      config.max_batch = std::stoul(value);
-    } else if (flag == "--producers") {
-      producers = std::stoul(value);
-    } else if (flag == "--models") {
-      replay.distinct_users = std::stoul(value);
-    } else if (flag == "--chaos") {
-      chaos = true;
-      chaos_seed = std::stoull(value);
     } else if (flag == "--checkpoint-dir") {
       checkpoint_dir = value;
     } else if (flag == "--checkpoint-interval") {
@@ -642,37 +631,126 @@ int cmd_fleet(std::span<const std::string> args) {
       } else if (value == "drop-oldest") {
         config.backpressure = fleet::BackpressurePolicy::kDropOldest;
       } else {
-        return usage();
+        throw std::invalid_argument("--policy must be block or drop-oldest");
       }
+    } else {
+      return false;
+    }
+    ++i;
+    return true;
+  }
+
+  /// --checkpoint-dir: creates DIR and journals every verdict into it.
+  void attach_durability(std::optional<fleet::durable::Durability>& out) {
+    if (checkpoint_dir.empty()) return;
+    std::filesystem::create_directories(checkpoint_dir);
+    out.emplace(checkpoint_dir);
+    config.durability = &*out;
+  }
+};
+
+/// Detection models from a `cohort train` store: users map onto the
+/// manifest round-robin, so any number of sessions can share it.
+struct StoreModels {
+  std::string dir;
+  std::vector<int> manifest;
+  fleet::TieredModelProvider provider;
+
+  /// Returns nullopt (after saying why) when @p dir has no manifest;
+  /// otherwise sizes @p config's model cache to hold the whole manifest.
+  static std::optional<StoreModels> open(const char* cmd,
+                                         const std::string& dir,
+                                         fleet::FleetConfig& config) {
+    const cohort::ModelStore store(dir);
+    StoreModels models{dir, store.read_manifest(), {}};
+    if (models.manifest.empty()) {
+      std::fprintf(stderr, "%s: no manifest in %s (run siftctl cohort "
+                   "train first)\n", cmd, dir.c_str());
+      return std::nullopt;
+    }
+    config.model_cache_capacity = models.manifest.size();
+    models.provider = [inner = store.provider(), ids = models.manifest](
+                          int user_id, core::DetectorVersion version) {
+      return inner(ids[static_cast<std::size_t>(user_id) % ids.size()],
+                   version);
+    };
+    return models;
+  }
+
+  /// Loads every manifest model into the registry before traffic starts.
+  void warm_load(const char* cmd, fleet::FleetEngine& engine) const {
+    const auto start = std::chrono::steady_clock::now();
+    const std::size_t warm =
+        engine.models().warm_load(manifest, core::DetectorVersion::kOriginal);
+    std::fprintf(
+        stderr, "%s: warm-loaded %zu/%zu model(s) from %s in %.0f ms\n", cmd,
+        warm, manifest.size(), dir.c_str(),
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+  }
+};
+
+/// Background checkpoint cadence, the way a deployment would run it: the
+/// snapshot thread races live ingest on purpose (checkpoints are taken
+/// under the shard locks, so this is safe by construction). Idle without
+/// a durability layer.
+std::jthread start_checkpointer(fleet::durable::Durability* durability,
+                                fleet::FleetEngine& engine,
+                                std::size_t interval_ms) {
+  if (durability == nullptr) return {};
+  const auto interval =
+      std::chrono::milliseconds(std::max<std::size_t>(1, interval_ms));
+  return std::jthread([durability, &engine, interval](std::stop_token stop) {
+    while (!stop.stop_requested()) {
+      std::this_thread::sleep_for(interval);
+      if (stop.stop_requested()) break;
+      durability->checkpoint(engine);
+    }
+  });
+}
+
+int cmd_fleet(std::span<const std::string> args) {
+  fleet::ReplayConfig replay;
+  EngineArgs shared;
+  fleet::FleetConfig& config = shared.config;
+  std::size_t producers = 4;
+  bool chaos = false;
+  std::uint64_t chaos_seed = 1;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (shared.parse(args, i)) continue;
+    const std::string& flag = args[i];
+    if (i + 1 >= args.size()) return usage();
+    const std::string& value = args[++i];
+    if (flag == "--sessions") {
+      replay.sessions = std::stoul(value);
+    } else if (flag == "--seconds") {
+      replay.seconds = std::stod(value);
+    } else if (flag == "--producers") {
+      producers = std::stoul(value);
+    } else if (flag == "--models") {
+      replay.distinct_users = std::stoul(value);
+    } else if (flag == "--chaos") {
+      chaos = true;
+      chaos_seed = std::stoull(value);
     } else {
       return usage();
     }
   }
+  if (shared.recover && shared.checkpoint_dir.empty()) {
+    std::fprintf(stderr, "fleet: --recover needs --checkpoint-dir\n");
+    return usage();
+  }
   config.model_cache_capacity = std::max<std::size_t>(1, replay.distinct_users);
   replay.train_all_tiers = chaos;  // chaos exercises the degradation ladder
 
-  // Detection models from a cohort-trained store: sessions map onto the
-  // manifest round-robin. The fixture is then only the packet synthesiser,
-  // so its own (unused) model training is cut to the minimum the build
-  // path accepts.
-  std::optional<cohort::ModelStore> model_store;
-  std::vector<int> manifest;
-  fleet::TieredModelProvider store_provider;
-  if (!model_store_dir.empty()) {
-    model_store.emplace(model_store_dir);
-    manifest = model_store->read_manifest();
-    if (manifest.empty()) {
-      std::fprintf(stderr, "fleet: no manifest in %s (run siftctl cohort "
-                   "train first)\n", model_store_dir.c_str());
-      return 1;
-    }
-    config.model_cache_capacity = manifest.size();
-    store_provider = [inner = model_store->provider(),
-                      ids = manifest](int user_id,
-                                      core::DetectorVersion version) {
-      return inner(ids[static_cast<std::size_t>(user_id) % ids.size()],
-                   version);
-    };
+  // With a model store the fixture is only the packet synthesiser, so its
+  // own (unused) model training is cut to the minimum the build path
+  // accepts.
+  std::optional<StoreModels> store;
+  if (!shared.model_store_dir.empty()) {
+    store = StoreModels::open("fleet", shared.model_store_dir, config);
+    if (!store) return 1;
     replay.train_seconds = 12.0;
   }
 
@@ -712,19 +790,12 @@ int cmd_fleet(std::span<const std::string> args) {
   }
 
   std::optional<fleet::durable::Durability> durability;
-  if (!checkpoint_dir.empty()) {
-    std::filesystem::create_directories(checkpoint_dir);
-    durability.emplace(checkpoint_dir);
-    config.durability = &*durability;
-  } else if (recover) {
-    std::fprintf(stderr, "fleet: --recover needs --checkpoint-dir\n");
-    return usage();
-  }
+  shared.attach_durability(durability);
 
   std::optional<fleet::FleetEngine> engine_holder;
-  if (store_provider) {
-    engine_holder.emplace(chaos ? injector->wrap_provider(store_provider)
-                                : store_provider,
+  if (store) {
+    engine_holder.emplace(chaos ? injector->wrap_provider(store->provider)
+                                : store->provider,
                           config);
   } else if (chaos) {
     engine_holder.emplace(injector->wrap_provider(fixture.provider_tiered()),
@@ -733,27 +804,16 @@ int cmd_fleet(std::span<const std::string> args) {
     engine_holder.emplace(fixture.provider(), config);
   }
   fleet::FleetEngine& engine = *engine_holder;
-
-  if (model_store) {
-    const auto warm_start = std::chrono::steady_clock::now();
-    const std::size_t warm =
-        engine.models().warm_load(manifest, core::DetectorVersion::kOriginal);
-    std::fprintf(
-        stderr, "fleet: warm-loaded %zu/%zu model(s) from %s in %.0f ms\n",
-        warm, manifest.size(), model_store_dir.c_str(),
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - warm_start)
-            .count());
-  }
+  if (store) store->warm_load("fleet", engine);
 
   fleet::durable::RecoveryResult recovered;
-  if (recover) {
+  if (shared.recover) {
     recovered = durability->recover_into(engine);
     std::fprintf(stderr,
                  "fleet: recovered %zu session(s) from %s "
                  "(checkpoint %s, %llu journal frame(s), %llu torn "
                  "tail(s) truncated)\n",
-                 recovered.sessions_restored, checkpoint_dir.c_str(),
+                 recovered.sessions_restored, shared.checkpoint_dir.c_str(),
                  recovered.checkpoint_loaded ? "loaded" : "absent",
                  static_cast<unsigned long long>(recovered.frames_replayed),
                  static_cast<unsigned long long>(
@@ -766,28 +826,13 @@ int cmd_fleet(std::span<const std::string> args) {
                fixture.total_packets(), engine.workers(), config.shards,
                fleet::to_string(config.backpressure));
 
-  // Background checkpoint cadence, the way a deployment would run it: the
-  // snapshot thread races live ingest on purpose (checkpoints are taken
-  // under the shard locks, so this is safe by construction).
-  std::jthread checkpointer;
-  if (durability) {
-    checkpointer = std::jthread([&](std::stop_token stop) {
-      const auto interval =
-          std::chrono::milliseconds(std::max<std::size_t>(
-              1, checkpoint_interval_ms));
-      while (!stop.stop_requested()) {
-        std::this_thread::sleep_for(interval);
-        if (stop.stop_requested()) break;
-        durability->checkpoint(engine);
-      }
-    });
-  }
-
+  std::jthread checkpointer = start_checkpointer(
+      config.durability, engine, shared.checkpoint_interval_ms);
   const auto result =
-      recover ? fleet::replay_resume(engine, fixture, recovered.cursors,
-                                     injector.get())
-              : fleet::replay_through(engine, fixture, producers,
-                                      injector.get());
+      shared.recover
+          ? fleet::replay_resume(engine, fixture, recovered.cursors,
+                                 injector.get())
+          : fleet::replay_through(engine, fixture, producers, injector.get());
   if (checkpointer.joinable()) {
     checkpointer.request_stop();
     checkpointer.join();
@@ -858,22 +903,12 @@ void handle_stop_signal(int) { g_stop_requested = 1; }
 int cmd_serve(std::span<const std::string> args) {
   std::string listen;
   fleet::ReplayConfig replay;
-  fleet::FleetConfig config;
+  EngineArgs shared;
+  fleet::FleetConfig& config = shared.config;
   net::NetServerConfig net_config;
-  std::string checkpoint_dir;
-  std::string model_store_dir;
-  std::size_t checkpoint_interval_ms = 500;
-  bool recover = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
+    if (shared.parse(args, i)) continue;
     const std::string& flag = args[i];
-    if (flag == "--recover") {
-      recover = true;
-      continue;
-    }
-    if (flag == "--pin-cores") {
-      config.pin_cores = true;
-      continue;
-    }
     if (i + 1 >= args.size()) return usage();
     const std::string& value = args[++i];
     if (flag == "--listen") {
@@ -884,14 +919,6 @@ int cmd_serve(std::span<const std::string> args) {
       replay.train_seconds = std::stod(value);
     } else if (flag == "--seed") {
       replay.seed = std::stoull(value);
-    } else if (flag == "--workers") {
-      config.workers = std::stoul(value);
-    } else if (flag == "--shards") {
-      config.shards = std::stoul(value);
-    } else if (flag == "--queue-capacity") {
-      config.queue_capacity = std::stoul(value);
-    } else if (flag == "--max-batch") {
-      config.max_batch = std::stoul(value);
     } else if (flag == "--max-connections") {
       net_config.max_connections = std::stoul(value);
     } else if (flag == "--idle-timeout-ms") {
@@ -902,25 +929,15 @@ int cmd_serve(std::span<const std::string> args) {
       net_config.rate_limit_pps = std::stod(value);
     } else if (flag == "--accept-burst") {
       net_config.accept_burst = std::stoul(value);
-    } else if (flag == "--checkpoint-dir") {
-      checkpoint_dir = value;
-    } else if (flag == "--checkpoint-interval") {
-      checkpoint_interval_ms = std::stoul(value);
-    } else if (flag == "--model-store") {
-      model_store_dir = value;
-    } else if (flag == "--policy") {
-      if (value == "block") {
-        config.backpressure = fleet::BackpressurePolicy::kBlock;
-      } else if (value == "drop-oldest") {
-        config.backpressure = fleet::BackpressurePolicy::kDropOldest;
-      } else {
-        return usage();
-      }
     } else {
       return usage();
     }
   }
   if (listen.empty()) return usage();
+  if (shared.recover && shared.checkpoint_dir.empty()) {
+    std::fprintf(stderr, "serve: --recover needs --checkpoint-dir\n");
+    return usage();
+  }
   net_config.listen = listen;
   config.model_cache_capacity =
       std::max<std::size_t>(1, replay.distinct_users);
@@ -928,27 +945,13 @@ int cmd_serve(std::span<const std::string> args) {
   // With a model store the gateway trains nothing: models come off disk
   // through the registry (manifest warm-load below), which is what lets a
   // 10k-user gateway start in well under a second.
-  std::optional<cohort::ModelStore> model_store;
-  std::vector<int> manifest;
-  fleet::TieredModelProvider store_provider;
+  std::optional<StoreModels> store;
   std::optional<fleet::ReplayFixture> fixture;
-  if (!model_store_dir.empty()) {
-    model_store.emplace(model_store_dir);
-    manifest = model_store->read_manifest();
-    if (manifest.empty()) {
-      std::fprintf(stderr, "serve: no manifest in %s (run siftctl cohort "
-                   "train first)\n", model_store_dir.c_str());
-      return 1;
-    }
-    config.model_cache_capacity = manifest.size();
-    store_provider = [inner = model_store->provider(),
-                      ids = manifest](int user_id,
-                                      core::DetectorVersion version) {
-      return inner(ids[static_cast<std::size_t>(user_id) % ids.size()],
-                   version);
-    };
+  if (!shared.model_store_dir.empty()) {
+    store = StoreModels::open("serve", shared.model_store_dir, config);
+    if (!store) return 1;
     std::fprintf(stderr, "serve: %zu model(s) from store %s\n",
-                 manifest.size(), model_store_dir.c_str());
+                 store->manifest.size(), store->dir.c_str());
   } else {
     std::fprintf(stderr, "serve: training %zu model(s) (%.0f s each)...\n",
                  replay.distinct_users, replay.train_seconds);
@@ -956,14 +959,7 @@ int cmd_serve(std::span<const std::string> args) {
   }
 
   std::optional<fleet::durable::Durability> durability;
-  if (!checkpoint_dir.empty()) {
-    std::filesystem::create_directories(checkpoint_dir);
-    durability.emplace(checkpoint_dir);
-    config.durability = &*durability;
-  } else if (recover) {
-    std::fprintf(stderr, "serve: --recover needs --checkpoint-dir\n");
-    return usage();
-  }
+  shared.attach_durability(durability);
 
   // The pool outlives the engine (packet_return fires from workers until
   // drain) and the engine outlives the server — declaration order is the
@@ -971,26 +967,15 @@ int cmd_serve(std::span<const std::string> args) {
   net::PacketPool pool;
   config.packet_return = pool.returner();
   std::optional<fleet::FleetEngine> engine_holder;
-  if (store_provider) {
-    engine_holder.emplace(store_provider, config);
+  if (store) {
+    engine_holder.emplace(store->provider, config);
   } else {
     engine_holder.emplace(fixture->provider(), config);
   }
   fleet::FleetEngine& engine = *engine_holder;
+  if (store) store->warm_load("serve", engine);
 
-  if (model_store) {
-    const auto warm_start = std::chrono::steady_clock::now();
-    const std::size_t warm =
-        engine.models().warm_load(manifest, core::DetectorVersion::kOriginal);
-    std::fprintf(
-        stderr, "serve: warm-loaded %zu/%zu model(s) in %.0f ms\n", warm,
-        manifest.size(),
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - warm_start)
-            .count());
-  }
-
-  if (recover) {
+  if (shared.recover) {
     const auto recovered = durability->recover_into(engine);
     std::fprintf(stderr,
                  "serve: recovered %zu session(s) (checkpoint %s, %llu "
@@ -1008,18 +993,8 @@ int cmd_serve(std::span<const std::string> args) {
                server.address().c_str(), engine.workers(), config.shards,
                fleet::to_string(config.backpressure));
 
-  std::jthread checkpointer;
-  if (durability) {
-    checkpointer = std::jthread([&](std::stop_token stop) {
-      const auto interval = std::chrono::milliseconds(
-          std::max<std::size_t>(1, checkpoint_interval_ms));
-      while (!stop.stop_requested()) {
-        std::this_thread::sleep_for(interval);
-        if (stop.stop_requested()) break;
-        durability->checkpoint(engine);
-      }
-    });
-  }
+  std::jthread checkpointer = start_checkpointer(
+      config.durability, engine, shared.checkpoint_interval_ms);
 
   g_stop_requested = 0;
   struct sigaction action = {};
