@@ -535,12 +535,13 @@ TEST_F(FleetEngineTest, StressMatchesSingleThreadedReference) {
       << "block policy never sheds";
 }
 
-// The worker pops its rings in kDrainChunk chunks; ring depth only changes
-// how envelopes land in those chunks, never the per-user verdict stream.
-TEST_F(FleetEngineTest, VerdictsAreBitIdenticalToReference) {
-  auto provider = fixture_->provider();
-  for (const std::size_t capacity : {FleetConfig{}.queue_capacity,
-                                     std::size_t{64}}) {
+// The worker pops its rings in chunks of up to kDrainChunk envelopes. A
+// one-envelope ring (rounded up to two slots) keeps every pop near-single,
+// a 64-envelope ring lets full chunks form; batching must never change the
+// per-user verdict stream.
+TEST_F(FleetEngineTest, BatchedExecutionMatchesUnbatched) {
+  const auto reference = single_thread_reference(*fixture_, {});
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{64}}) {
     FleetConfig config;
     config.workers = 4;
     config.shards = 8;
@@ -548,32 +549,59 @@ TEST_F(FleetEngineTest, VerdictsAreBitIdenticalToReference) {
     FleetEngine engine(fixture_->provider(), config);
     replay_through(engine, *fixture_, /*producers=*/4);
 
+    std::unordered_map<int, const Session*> by_user;
+    engine.sessions().for_each(
+        [&](int user, const Session& s) { by_user[user] = &s; });
+    ASSERT_EQ(by_user.size(), fixture_->sessions());
     std::uint64_t total_windows = 0;
-    engine.sessions().for_each([&](int user, const Session& session) {
-      wiot::BaseStation reference(core::Detector(provider(user)),
-                                  config.station);
-      for (const auto& p :
-           fixture_->session_packets(static_cast<std::size_t>(user))) {
-        reference.receive(p);
-      }
-      const auto& got = session.station().reports();
-      const auto& want = reference.reports();
-      ASSERT_EQ(got.size(), want.size())
-          << "user " << user << " capacity " << capacity;
-      for (std::size_t w = 0; w < want.size(); ++w) {
-        EXPECT_EQ(got[w].altered, want[w].altered) << "user " << user;
-        EXPECT_DOUBLE_EQ(got[w].decision_value, want[w].decision_value)
-            << "user " << user << " window " << w << " capacity "
-            << capacity;
-      }
-      EXPECT_EQ(session.stats().packets_received,
-                reference.stats().packets_received)
-          << "user " << user;
-      total_windows += session.stats().windows_classified;
-    });
-    EXPECT_EQ(engine.sessions().active_sessions(), fixture_->sessions());
+    for (std::size_t s = 0; s < fixture_->sessions(); ++s) {
+      const auto it = by_user.find(static_cast<int>(s));
+      ASSERT_NE(it, by_user.end());
+      const auto& got = it->second->stats();
+      const auto& want = reference[s];
+      EXPECT_EQ(got.windows_classified, want.windows_classified)
+          << "user " << s << " capacity " << capacity;
+      EXPECT_EQ(got.alerts, want.alerts)
+          << "user " << s << " capacity " << capacity;
+      EXPECT_EQ(got.packets_received, want.packets_received)
+          << "user " << s << " capacity " << capacity;
+      total_windows += got.windows_classified;
+    }
     EXPECT_EQ(engine.windows_classified(), total_windows);
   }
+}
+
+TEST_F(FleetEngineTest, VerdictsAreBitIdenticalToReference) {
+  FleetConfig config;
+  config.workers = 4;
+  config.shards = 8;
+  FleetEngine engine(fixture_->provider(), config);
+  replay_through(engine, *fixture_, /*producers=*/4);
+
+  auto provider = fixture_->provider();
+  std::uint64_t total_windows = 0;
+  engine.sessions().for_each([&](int user, const Session& session) {
+    wiot::BaseStation reference(core::Detector(provider(user)),
+                                config.station);
+    for (const auto& p :
+         fixture_->session_packets(static_cast<std::size_t>(user))) {
+      reference.receive(p);
+    }
+    const auto& got = session.station().reports();
+    const auto& want = reference.reports();
+    ASSERT_EQ(got.size(), want.size()) << "user " << user;
+    for (std::size_t w = 0; w < want.size(); ++w) {
+      EXPECT_EQ(got[w].altered, want[w].altered) << "user " << user;
+      EXPECT_DOUBLE_EQ(got[w].decision_value, want[w].decision_value)
+          << "user " << user << " window " << w;
+    }
+    EXPECT_EQ(session.stats().packets_received,
+              reference.stats().packets_received)
+        << "user " << user;
+    total_windows += session.stats().windows_classified;
+  });
+  EXPECT_EQ(engine.sessions().active_sessions(), fixture_->sessions());
+  EXPECT_EQ(engine.windows_classified(), total_windows);
 }
 
 TEST_F(FleetEngineTest, DropOldestConservesEveryEnvelope) {
