@@ -36,7 +36,6 @@
 #include "fleet/replay.hpp"
 #include "fleet/session.hpp"
 #include "net/client.hpp"
-#include "net/packet_pool.hpp"
 #include "net/server.hpp"
 
 namespace {
@@ -242,13 +241,10 @@ int write_json_snapshot(const std::string& path) {
   // delta against the in-process figures is the price of the wire — frame
   // encode/decode, the event loop, and backpressure round-trips.
   BenchDir net_dir;
-  net::PacketPool pool;
-  fleet::FleetConfig served_config = config;
-  served_config.packet_return = pool.returner();
-  fleet::FleetEngine served_engine(fixture.provider(), served_config);
+  fleet::FleetEngine served_engine(fixture.provider(), config);
   net::NetServerConfig server_config;
   server_config.listen = "unix:" + net_dir.path + "/bench.sock";
-  net::NetServer server(served_engine, server_config, &pool);
+  net::NetServer server(served_engine, server_config);
   server.start();
   net::DriveConfig drive;
   drive.address = server.address();
@@ -285,14 +281,10 @@ int write_json_snapshot(const std::string& path) {
   // reconnect-with-resume machinery (per-step flushes, cursor-confirmed
   // completion) relative to the greedy baseline above.
   BenchDir resume_dir;
-  net::PacketPool resume_pool;
-  fleet::FleetConfig resume_config = served_config;
-  resume_config.packet_return = resume_pool.returner();
-  fleet::FleetEngine resume_engine(fixture.provider(), resume_config);
+  fleet::FleetEngine resume_engine(fixture.provider(), config);
   net::NetServerConfig resume_server_config;
   resume_server_config.listen = "unix:" + resume_dir.path + "/resume.sock";
-  net::NetServer resume_server(resume_engine, resume_server_config,
-                               &resume_pool);
+  net::NetServer resume_server(resume_engine, resume_server_config);
   resume_server.start();
   net::DriveConfig resume_drive = drive;
   resume_drive.address = resume_server.address();
@@ -311,15 +303,12 @@ int write_json_snapshot(const std::string& path) {
   // sides, but disarmed: this figure regressing against the plain drive
   // means the fault hooks grew a hot-path cost they must not have.
   BenchDir shim_dir;
-  net::PacketPool shim_pool;
-  fleet::FleetConfig shim_engine_config = served_config;
-  shim_engine_config.packet_return = shim_pool.returner();
-  fleet::FleetEngine shim_engine(fixture.provider(), shim_engine_config);
+  fleet::FleetEngine shim_engine(fixture.provider(), config);
   net::FaultyTransport disarmed_shim{net::NetFaultConfig{}};
   net::NetServerConfig shim_server_config;
   shim_server_config.listen = "unix:" + shim_dir.path + "/shim.sock";
   shim_server_config.faults = &disarmed_shim;
-  net::NetServer shim_server(shim_engine, shim_server_config, &shim_pool);
+  net::NetServer shim_server(shim_engine, shim_server_config);
   shim_server.start();
   net::DriveConfig shim_drive = drive;
   shim_drive.address = shim_server.address();

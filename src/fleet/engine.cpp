@@ -138,7 +138,6 @@ void FleetEngine::resolve_instruments() {
       state->rings.push_back(
           std::make_unique<SpscRing<Envelope>>(config_.queue_capacity));
     }
-    state->batch.reserve(kDrainChunk);
     const std::string prefix = "fleet.worker." + std::to_string(w);
     state->packets = &metrics_.counter(prefix + ".packets");
     state->batches = &metrics_.counter(prefix + ".batches");
@@ -282,19 +281,22 @@ IngestStatus FleetEngine::ingest_impl(int user_id, wiot::Packet& packet,
   // Validation gate: a NaN sample or an insane sequence number must never
   // reach a ring, let alone a worker. Rejects are charged to the
   // session so one hostile wearer's garbage is visible as *their* problem.
-  if (wiot::validate_packet(packet, config_.validation) !=
-      wiot::PacketFault::kNone) {
+  if (const wiot::PacketFault fault =
+          wiot::validate_packet(packet, config_.validation);
+      fault != wiot::PacketFault::kNone) {
     std::lock_guard lock(reject_mu_);
     RejectState& st = rejects_by_user_[user_id];
     if (config_.durability) {
       // Exactly-once accounting across restarts: a recovery replay re-feeds
       // (and re-corrupts) packets the checkpoint already charged — skip
-      // anything at or below the checkpointed per-channel high-water.
+      // anything at or below the checkpointed per-channel high-water. An
+      // insane seq is untrustworthy by definition, so it never moves the
+      // high-water (it would hide every later reject on the channel).
       std::uint32_t& seen = packet.kind == wiot::ChannelKind::kEcg
                                 ? st.ecg_seen
                                 : st.abp_seen;
       if (packet.seq < seen) return IngestStatus::kInvalid;
-      seen = packet.seq + 1;
+      if (fault != wiot::PacketFault::kSeqInsane) seen = packet.seq + 1;
     }
     packets_rejected_->add();
     ++st.count;
@@ -363,9 +365,13 @@ IngestStatus FleetEngine::ingest_impl(int user_id, wiot::Packet& packet,
       }
     }
   }
+  // Accepted or not, env now holds buffers for the caller: its own packet
+  // back on a refusal, or whatever the ring slot held on success — a packet
+  // a worker already classified, so the caller's next parse reuses warm
+  // sample/peak capacity instead of allocating.
+  packet = std::move(env.packet);
   if (!accepted) {
     slot.in_flight.fetch_sub(1, std::memory_order_release);
-    packet = std::move(env.packet);  // hand the packet back to the caller
     if (!blocking &&
         !draining_.load(std::memory_order_seq_cst)) {
       return IngestStatus::kWouldBlock;
@@ -391,30 +397,19 @@ std::size_t FleetEngine::sweep_inbound_rings(WorkerState& self) {
     SpscRing<Envelope>& ring = *ring_ptr;
     // Execute pending shed requests first: under kDropOldest a producer
     // facing a full ring asked us to evict from the head so its fresh
-    // packet wins. Evicted envelopes count as queue drops and their
-    // buffers go back to the pool, exactly like the mutexed queue did.
+    // packet wins. Evicted envelopes count as queue drops; they stay in
+    // their slots, so the producer's next pushes reuse their buffers.
     if (const std::size_t shed = ring.take_shed_requests()) {
-      const std::size_t evicted = ring.discard_n(shed, [&](Envelope&& env) {
-        if (config_.packet_return) {
-          config_.packet_return(std::move(env.packet));
-        }
-      });
+      const std::size_t evicted = ring.discard_n(shed);
       if (evicted > 0) dropped_->add(evicted);
     }
-    for (;;) {
-      self.batch.clear();
-      if (ring.pop_n(self.batch, kDrainChunk) == 0) break;
+    // Each pop leaves the previous chunk's spent envelopes in the freed
+    // slots: the ring carries their buffers back to the producer.
+    while (const std::size_t n = ring.pop_n(self.batch)) {
       self.batches->add();
-      self.batch_size->observe(static_cast<double>(self.batch.size()));
-      process_batch(self, self.batch);
-      if (config_.packet_return) {
-        // Recycle spent sample/peak buffers back to the front end (pool
-        // hook), outside every lock — the wire path's zero-alloc loop.
-        for (Envelope& env : self.batch) {
-          config_.packet_return(std::move(env.packet));
-        }
-      }
-      processed += self.batch.size();
+      self.batch_size->observe(static_cast<double>(n));
+      process_batch(self, std::span(self.batch).first(n));
+      processed += n;
     }
   }
   self.packets->add(processed);
@@ -481,7 +476,7 @@ void FleetEngine::maybe_shift_tier(Session& session, int user_id,
 }
 
 void FleetEngine::process_batch(WorkerState& self,
-                                std::vector<Envelope>& batch) {
+                                std::span<Envelope> batch) {
   if (config_.injector) {
     // The dequeue hook fires exactly once per envelope, in dequeue order,
     // before any shard lock is held — so chaos stalls never extend lock

@@ -22,15 +22,16 @@
 // so the engine is observable under load (see fleet/metrics.hpp).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -154,12 +155,6 @@ struct FleetConfig {
   /// construction), and validation rejects are deduplicated across
   /// restarts (see fleet/durable/durability.hpp).
   durable::Durability* durability = nullptr;
-  /// Buffer-recycling hook (may be null): a worker hands every envelope's
-  /// spent packet back after processing it, outside any lock. A network
-  /// front end uses this to return sample/peak buffers to its packet pool
-  /// so the wire→engine handoff stays allocation-free at steady state.
-  /// Must be thread-safe; called from worker threads.
-  std::function<void(wiot::Packet&&)> packet_return;
 };
 
 /// Outcome of a non-blocking ingest attempt (see FleetEngine::try_ingest).
@@ -205,7 +200,9 @@ class FleetEngine {
   /// kWouldBlock *without consuming the packet* instead of stalling the
   /// caller — the socket server parks the packet, gates the connection's
   /// reads, and retries, so one hot worker slows only the connections
-  /// feeding it.
+  /// feeding it. On kAccepted, @p packet comes back holding the buffers of
+  /// a packet a worker already classified (or empty ones while the ring is
+  /// still cold): ready for the next parse without an allocation.
   IngestStatus try_ingest(int user_id, wiot::Packet& packet);
 
   /// Graceful shutdown: stops accepting, waits for in-flight producers to
@@ -318,9 +315,9 @@ class FleetEngine {
     std::atomic<bool> sleeping{false};
     /// rings[p] is the SPSC lane from producer slot p to this worker.
     std::vector<std::unique_ptr<SpscRing<Envelope>>> rings;
-    /// Reusable dequeue scratch, reserved to kDrainChunk at startup so the
-    /// steady-state drain never allocates.
-    std::vector<Envelope> batch;
+    /// Dequeue scratch: pop_n swaps a chunk in and leaves the previous
+    /// chunk's spent envelopes in the ring for the producer to reuse.
+    std::array<Envelope, kDrainChunk> batch;
     // Per-core observability, resolved once at construction.
     Counter* packets = nullptr;        ///< envelopes processed by this core
     Counter* batches = nullptr;        ///< chunks popped (≥1 envelope each)
@@ -339,7 +336,7 @@ class FleetEngine {
   /// own SessionTable::with_session. All envelopes were popped from this
   /// worker's own rings, so every session touched is core-local by
   /// construction.
-  void process_batch(WorkerState& self, std::vector<Envelope>& batch);
+  void process_batch(WorkerState& self, std::span<Envelope> batch);
   /// The per-packet detection path, run under the session's shard lock.
   /// @p backlog is how many envelopes of this chunk are still unprocessed —
   /// it counts toward the depth the load-shed check observes.

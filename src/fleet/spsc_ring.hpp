@@ -6,8 +6,16 @@
 // the other's index so the common case (ring neither full nor empty)
 // touches only its own cache line.
 //
-//   producer:  slots_[tail & mask] = move(v);  tail_.store(tail+1, release)
-//   consumer:  v = move(slots_[head & mask]);  head_.store(head+1, release)
+//   producer:  swap(slots_[tail & mask], v);  tail_.store(tail+1, release)
+//   consumer:  swap(slots_[head & mask], v);  head_.store(head+1, release)
+//
+// Elements are swapped, never moved out, so the slots double as a buffer
+// pool that circulates in both directions: a push hands the producer back
+// whatever the consumer last left in that slot (for a fleet envelope, the
+// sample/peak buffers of a packet it already classified), and a pop leaves
+// the consumer's spent element behind for the producer to reuse. Each slot
+// is still written only by the side that owns it under the acquire/release
+// pair above, so the recycling adds no synchronisation.
 //
 // Capacity is rounded up to a power of two; indexes are free-running
 // (wrap-around is handled by masking, fullness by `tail - head > mask`).
@@ -25,7 +33,9 @@
 #include <atomic>
 #include <cstddef>
 #include <limits>
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace sift::fleet {
@@ -53,51 +63,39 @@ class SpscRing {
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  /// Producer side. Moves from @p v on success; leaves it untouched and
-  /// returns false when the ring is full.
+  /// Producer side. Swaps @p v into the tail slot on success, so @p v
+  /// comes back holding what the consumer last left there; leaves it
+  /// untouched and returns false when the ring is full.
   bool try_push(T& v) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - cached_head_ > mask_) {  // looks full: refresh the cache
       cached_head_ = head_.load(std::memory_order_acquire);
       if (tail - cached_head_ > mask_) return false;
     }
-    slots_[tail & mask_] = std::move(v);
+    std::swap(slots_[tail & mask_], v);
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
 
-  /// Consumer side: moves up to @p max elements into @p out (appended),
-  /// returning how many were taken. One acquire covers the whole batch.
-  std::size_t pop_n(std::vector<T>& out, std::size_t max) {
+  /// Consumer side: swaps up to out.size() elements into out[0, n), leaving
+  /// the old contents of out in the freed slots, and returns n. One acquire
+  /// covers the whole batch.
+  std::size_t pop_n(std::span<T> out) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
-    std::size_t available = cached_tail_ - head;
-    if (available == 0) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      available = cached_tail_ - head;
-      if (available == 0) return 0;
-    }
-    const std::size_t n = available < max ? available : max;
+    const std::size_t n = readable(head, out.size());
     for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(std::move(slots_[(head + i) & mask_]));
+      std::swap(out[i], slots_[(head + i) & mask_]);
     }
-    head_.store(head + n, std::memory_order_release);
+    if (n > 0) head_.store(head + n, std::memory_order_release);
     return n;
   }
 
   /// Consumer side: discards up to @p max elements from the head (shed
-  /// execution), handing each to @p recycle before releasing the slot.
-  template <typename Fn>
-  std::size_t discard_n(std::size_t max, Fn&& recycle) {
+  /// execution). They stay in their slots, where the producer's next pushes
+  /// pick them up for reuse.
+  std::size_t discard_n(std::size_t max) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
-    std::size_t available = cached_tail_ - head;
-    if (available == 0) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      available = cached_tail_ - head;
-    }
-    const std::size_t n = available < max ? available : max;
-    for (std::size_t i = 0; i < n; ++i) {
-      recycle(std::move(slots_[(head + i) & mask_]));
-    }
+    const std::size_t n = readable(head, max);
     if (n > 0) head_.store(head + n, std::memory_order_release);
     return n;
   }
@@ -124,6 +122,17 @@ class SpscRing {
   std::size_t capacity() const noexcept { return mask_ + 1; }
 
  private:
+  /// Consumer side: how many of up to @p max elements past @p head are
+  /// readable (refreshing the cached tail only when it reads empty).
+  std::size_t readable(std::size_t head, std::size_t max) {
+    std::size_t available = cached_tail_ - head;
+    if (available == 0) {
+      cached_tail_ = tail_.load(std::memory_order_acquire);
+      available = cached_tail_ - head;
+    }
+    return available < max ? available : max;
+  }
+
   // Producer-owned line: free-running write index + cached consumer index.
   alignas(64) std::atomic<std::size_t> tail_{0};
   std::size_t cached_head_ = 0;

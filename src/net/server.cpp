@@ -27,9 +27,8 @@ constexpr std::uint64_t kWakeTag = ~std::uint64_t{0} - 1;
 
 }  // namespace
 
-NetServer::NetServer(fleet::FleetEngine& engine, NetServerConfig config,
-                     PacketPool* pool)
-    : engine_(engine), config_(std::move(config)), pool_(pool) {
+NetServer::NetServer(fleet::FleetEngine& engine, NetServerConfig config)
+    : engine_(engine), config_(std::move(config)) {
   if (config_.max_connections == 0 || config_.read_chunk == 0) {
     throw std::invalid_argument("net: max_connections and read_chunk > 0");
   }
@@ -345,7 +344,6 @@ NetServer::FrameAction NetServer::on_frame(
           protocol_errors_->add();
           return FrameAction::kClose;
         }
-        if (pool_) pool_->refill(conn.packet);
         const std::int32_t user = wire::decode_packet(payload, conn.packet);
         packets_in_->add();
         if (config_.rate_limit_pps > 0 && !take_token(conn)) {
@@ -588,7 +586,6 @@ void NetServer::shutdown_flush() {
             !conn.greeted) {
           continue;  // stats/hello frames need no flushing
         }
-        if (pool_) pool_->refill(conn.packet);
         const std::int32_t user = wire::decode_packet(*payload, conn.packet);
         packets_in_->add();
         if (engine_.ingest(user, std::move(conn.packet))) streamed_->add();

@@ -11,10 +11,12 @@
 //
 // Ownership: every socket, buffer, and decoder belongs to the loop thread.
 // Workers never touch a connection; the loop never touches a session. The
-// only cross-thread traffic is try_ingest (a lock-free push onto the
-// loop's own SPSC ring toward the owning worker) and the packet pool
-// (mutexed buffer recycling), so the loop is data-race-free by
-// construction rather than by locking discipline.
+// only cross-thread traffic is try_ingest: a lock-free swap onto the loop's
+// own SPSC ring toward the owning worker, which hands the connection's
+// parse target back holding the buffers of a packet that worker already
+// classified. The loop is data-race-free by construction rather than by
+// locking discipline, and the per-frame path allocates nothing once the
+// rings are warm.
 //
 // Backpressure: a full worker ring under kBlock surfaces as kWouldBlock.
 // The loop parks the decoded packet in its connection, gates that
@@ -42,7 +44,6 @@
 #include "fleet/engine.hpp"
 #include "io/framed.hpp"
 #include "net/faults.hpp"
-#include "net/packet_pool.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 
@@ -89,12 +90,9 @@ struct NetServerConfig {
 class NetServer {
  public:
   /// Binds and arms the listener immediately (constructed == accepting as
-  /// soon as the loop runs). @p pool may be null (buffers then come from
-  /// the allocator); when set, wire FleetConfig::packet_return to
-  /// pool->returner() so spent buffers circulate back.
+  /// soon as the loop runs).
   /// @throws std::runtime_error on bind/listen/epoll failure.
-  NetServer(fleet::FleetEngine& engine, NetServerConfig config,
-            PacketPool* pool = nullptr);
+  NetServer(fleet::FleetEngine& engine, NetServerConfig config);
   ~NetServer();  ///< stops (gracefully) if the caller has not
 
   NetServer(const NetServer&) = delete;
@@ -188,7 +186,6 @@ class NetServer {
 
   fleet::FleetEngine& engine_;
   NetServerConfig config_;
-  PacketPool* pool_;
   std::string address_;
 
   Fd listen_;

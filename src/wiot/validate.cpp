@@ -18,8 +18,6 @@ const char* to_string(PacketFault f) noexcept {
       return "peak-out-of-range";
     case PacketFault::kSeqInsane:
       return "seq-insane";
-    case PacketFault::kSeqReplay:
-      return "seq-replay";
   }
   return "unknown";
 }
@@ -44,18 +42,6 @@ PacketFault validate_packet(const Packet& packet,
   }
   for (std::size_t p : packet.peaks) {
     if (p >= packet.samples.size()) return PacketFault::kPeakOutOfRange;
-  }
-  return PacketFault::kNone;
-}
-
-PacketFault validate_packet(const Packet& packet,
-                            const ValidationLimits& limits,
-                            const ChannelView& channel) noexcept {
-  const PacketFault stateless = validate_packet(packet, limits);
-  if (stateless != PacketFault::kNone) return stateless;
-  if (packet.seq < channel.next_seq &&
-      channel.next_seq - packet.seq > channel.replay_window) {
-    return PacketFault::kSeqReplay;
   }
   return PacketFault::kNone;
 }

@@ -24,7 +24,6 @@ enum class PacketFault : std::uint8_t {
   kNonFiniteSample, ///< NaN or Inf payload sample
   kPeakOutOfRange,  ///< peak annotation beyond the payload
   kSeqInsane,       ///< sequence number beyond the wraparound guard
-  kSeqReplay,       ///< backward seq beyond the live channel's replay window
 };
 
 const char* to_string(PacketFault f) noexcept;
@@ -43,29 +42,9 @@ struct ValidationLimits {
   std::uint32_t max_seq = 0x40000000;
 };
 
-/// Live-channel context for the stateful checks. The stateless overload
-/// cannot tell a link-layer duplicate from a months-old capture replayed
-/// verbatim; with the channel's consume cursor it can. A backward jump of at
-/// most replay_window packets is a benign retransmit (the reassembly layer
-/// dedupes it); anything older is a replay attack and is rejected here,
-/// before it can touch reassembly state or recount against the durability
-/// dedupe cursor.
-struct ChannelView {
-  std::uint32_t next_seq = 0;       ///< one past the highest consumed seq
-  std::uint32_t replay_window = 16; ///< backward slack treated as retransmit
-};
-
 /// Returns the first fault found, or PacketFault::kNone when the packet is
 /// safe to enqueue. Performs no allocation.
 PacketFault validate_packet(const Packet& packet,
                             const ValidationLimits& limits = {}) noexcept;
-
-/// Stateful form: everything the stateless overload checks, plus the
-/// replay-window test against @p channel. Still allocation-free; the caller
-/// owns the per-channel state (the fleet worker reads it off the session it
-/// already holds, so no extra synchronisation is needed).
-PacketFault validate_packet(const Packet& packet,
-                            const ValidationLimits& limits,
-                            const ChannelView& channel) noexcept;
 
 }  // namespace sift::wiot

@@ -6,6 +6,7 @@
 // across worker counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -279,6 +280,31 @@ TEST_F(AntiReplayTest, ReplayPastCursorIsDroppedNotIngested) {
   // the clean one's.
   EXPECT_EQ(hit.windows, baseline.windows);
   EXPECT_EQ(hit.alerts, baseline.alerts);
+
+  // The window edge, once the clean stream has moved the ECG cursor to
+  // `next`: next - 16 is a retransmit the station dedupe absorbs with no
+  // anomaly; next - 17 is a replay, dropped before the station and counted.
+  std::uint32_t next = 0;
+  for (const auto& p : *clean_) {
+    if (p.kind == wiot::ChannelKind::kEcg) next = std::max(next, p.seq + 1);
+  }
+  ASSERT_EQ(config.anti_replay.replay_window, 16u);
+  ASSERT_GE(next, 17u);
+  const auto ecg_at = [&](std::uint32_t seq) {
+    return *std::find_if(clean_->begin(), clean_->end(), [&](const auto& p) {
+      return p.kind == wiot::ChannelKind::kEcg && p.seq == seq;
+    });
+  };
+  std::vector<wiot::Packet> edge = *clean_;
+  edge.push_back(ecg_at(next - 16));
+  edge.push_back(ecg_at(next - 17));
+  const RunResult at_edge = run(config, edge);
+  EXPECT_EQ(at_edge.replay_dropped, 1u) << "next - 17 is dropped";
+  EXPECT_EQ(at_edge.seq_anomalies, 1u) << "next - 16 is not an anomaly";
+  EXPECT_EQ(at_edge.station.duplicates_ignored,
+            baseline.station.duplicates_ignored + 1)
+      << "next - 16 reaches the station dedupe";
+  expect_conservation(at_edge);
 }
 
 TEST_F(AntiReplayTest, SeqSpoofNeverAdvancesTheCursor) {

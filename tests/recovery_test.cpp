@@ -30,6 +30,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <random>
 #include <string>
@@ -404,6 +405,35 @@ TEST_F(RecoveryTest, JournalOnlyRecoveryIsExactlyOnce) {
   EXPECT_NE(json.find("fleet.journal_bytes"), std::string::npos);
   EXPECT_NE(json.find("fleet.frames_replayed"), std::string::npos);
   EXPECT_NE(json.find("fleet.frames_discarded_torn"), std::string::npos);
+}
+
+// Exactly-once reject accounting keys on a per-channel seq high-water. A
+// reject for an insane seq must not move it: that seq is untrustworthy by
+// definition, and one such packet would otherwise hide every later reject
+// on the channel from fleet.packets_rejected and rejects_for.
+TEST_F(RecoveryTest, InsaneSeqRejectDoesNotHideLaterRejects) {
+  ScopedDir dir("insane_seq");
+  durable::Durability durability(dir.path);
+  FleetConfig config = engine_config();
+  config.durability = &durability;
+  FleetEngine engine(fixture_->provider(), config);
+
+  const auto& stream = fixture_->session_packets(0);
+  const auto ecg =
+      std::find_if(stream.begin(), stream.end(), [](const wiot::Packet& p) {
+        return p.kind == wiot::ChannelKind::kEcg;
+      });
+  ASSERT_NE(ecg, stream.end());
+  wiot::Packet packet = *ecg;
+  packet.seq = engine.config().validation.max_seq + 5;
+  EXPECT_FALSE(engine.ingest(0, packet));
+  packet.seq = 3;
+  packet.samples[0] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(engine.ingest(0, packet));
+  engine.drain();
+
+  EXPECT_EQ(engine.rejects_for(0), 2u);
+  EXPECT_EQ(engine.metrics().counter("fleet.packets_rejected").value(), 2u);
 }
 
 // A corrupted current checkpoint falls back to the rotated previous

@@ -1,6 +1,7 @@
 // Unit + stress coverage for the lock-free SPSC ring that carries every
-// envelope of the thread-per-core fleet. The stress tests are the TSan
-// targets: a relaxed/acquire/release bug here corrupts verdicts fleet-wide.
+// envelope of the thread-per-core fleet (and, by swapping, the spent
+// envelopes' buffers back). The stress tests are the TSan targets: a
+// relaxed/acquire/release bug here corrupts verdicts fleet-wide.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -39,10 +41,10 @@ TEST(SpscRingTest, OutOfRangeCapacityIsRejected) {
 
 TEST(SpscRingTest, EmptyRingPopsNothing) {
   SpscRing<int> ring(4);
-  std::vector<int> batch;
-  EXPECT_EQ(ring.pop_n(batch, 1), 0u);
-  EXPECT_EQ(ring.pop_n(batch, 16), 0u);
-  EXPECT_TRUE(batch.empty());
+  std::vector<int> batch(16, -1);
+  EXPECT_EQ(ring.pop_n(std::span(batch).first(1)), 0u);
+  EXPECT_EQ(ring.pop_n(batch), 0u);
+  EXPECT_EQ(batch, std::vector<int>(16, -1)) << "an empty pop swaps nothing";
   EXPECT_EQ(ring.size(), 0u);
 }
 
@@ -58,9 +60,9 @@ TEST(SpscRingTest, FullRingRejectsPushAndLeavesValueIntact) {
       << "a rejected push must not consume the value";
   EXPECT_EQ(ring.size(), 4u);
 
-  std::vector<std::string> out;
-  ASSERT_EQ(ring.pop_n(out, 1), 1u);
-  EXPECT_EQ(out[0], "payload-0");
+  std::string out;
+  ASSERT_EQ(ring.pop_n(std::span(&out, 1)), 1u);
+  EXPECT_EQ(out, "payload-0");
   EXPECT_TRUE(ring.try_push(extra)) << "one pop frees exactly one slot";
 }
 
@@ -76,9 +78,9 @@ TEST(SpscRingTest, WrapAroundPreservesFifoOrder) {
       ASSERT_TRUE(ring.try_push(v));
     }
     for (int i = 0; i < 3; ++i) {
-      std::vector<int> v;
-      ASSERT_EQ(ring.pop_n(v, 1), 1u);
-      EXPECT_EQ(v[0], next_pop++);
+      int v = -1;
+      ASSERT_EQ(ring.pop_n(std::span(&v, 1)), 1u);
+      EXPECT_EQ(v, next_pop++);
     }
   }
   EXPECT_EQ(ring.size(), 0u);
@@ -90,9 +92,10 @@ TEST(SpscRingTest, PopNDrainsInOrderAndRespectsMax) {
     int v = i;
     ASSERT_TRUE(ring.try_push(v));
   }
-  std::vector<int> batch;
-  EXPECT_EQ(ring.pop_n(batch, 4), 4u);
-  EXPECT_EQ(ring.pop_n(batch, 4), 2u) << "second call takes the remainder";
+  std::vector<int> batch(6, -1);
+  EXPECT_EQ(ring.pop_n(std::span(batch).first(4)), 4u);
+  EXPECT_EQ(ring.pop_n(std::span(batch).subspan(4)), 2u)
+      << "second call takes the remainder";
   ASSERT_EQ(batch.size(), 6u);
   for (int i = 0; i < 6; ++i) EXPECT_EQ(batch[i], i);
 }
@@ -103,14 +106,52 @@ TEST(SpscRingTest, DiscardNRecyclesFromTheHead) {
     int v = i;
     ASSERT_TRUE(ring.try_push(v));
   }
-  std::vector<int> recycled;
-  EXPECT_EQ(ring.discard_n(3, [&](int&& v) { recycled.push_back(v); }), 3u);
-  EXPECT_EQ(recycled, (std::vector<int>{0, 1, 2}));
-  std::vector<int> v;
-  ASSERT_EQ(ring.pop_n(v, 1), 1u);
-  EXPECT_EQ(v[0], 3) << "survivors keep their order";
-  EXPECT_EQ(ring.discard_n(10, [](int&&) {}), 1u)
+  EXPECT_EQ(ring.discard_n(3), 3u);
+  EXPECT_EQ(ring.size(), 2u);
+  int v = -1;
+  ASSERT_EQ(ring.pop_n(std::span(&v, 1)), 1u);
+  EXPECT_EQ(v, 3) << "survivors keep their order";
+  EXPECT_EQ(ring.discard_n(10), 1u)
       << "discard is bounded by what is actually queued";
+
+  // Discarded elements stay in their slots: once the tail wraps back onto
+  // them, pushes hand them to the producer for reuse.
+  std::vector<int> returned;
+  for (int i = 0; i < 8; ++i) {
+    int fresh = 100 + i;
+    ASSERT_TRUE(ring.try_push(fresh));
+    returned.push_back(fresh);
+  }
+  EXPECT_EQ(returned, (std::vector<int>{0, 0, 0, 0, 1, 2, -1, 4}))
+      << "slots 5..7 were never written, slots 0..2 and 4 held the "
+         "discards, and slot 3 holds what pop_n left behind";
+}
+
+// The swap contract end to end: the element a push hands back is exactly
+// the one the consumer's pop_n left in that slot — the path by which spent
+// packet buffers travel back to the producer.
+TEST(SpscRingTest, PushHandsBackWhatPopNLeftInTheSlot) {
+  SpscRing<std::string> ring(2);
+  std::string a = "packet-a";
+  std::string b = "packet-b";
+  ASSERT_TRUE(ring.try_push(a));
+  ASSERT_TRUE(ring.try_push(b));
+  EXPECT_TRUE(a.empty()) << "a cold slot hands back a default element";
+
+  std::vector<std::string> spent{"spent-0", "spent-1"};
+  ASSERT_EQ(ring.pop_n(spent), 2u);
+  EXPECT_EQ(spent, (std::vector<std::string>{"packet-a", "packet-b"}));
+
+  std::string c = "packet-c";
+  ASSERT_TRUE(ring.try_push(c));
+  EXPECT_EQ(c, "spent-0");
+  std::string d = "packet-d";
+  ASSERT_TRUE(ring.try_push(d));
+  EXPECT_EQ(d, "spent-1");
+
+  std::string out = "spent-2";
+  ASSERT_EQ(ring.pop_n(std::span(&out, 1)), 1u);
+  EXPECT_EQ(out, "packet-c");
 }
 
 TEST(SpscRingTest, ShedRequestsAccumulateAndClaimOnce) {
@@ -131,12 +172,12 @@ TEST(SpscRingTest, BitIdenticalToDequeReference) {
   std::uint32_t state = 0x9E3779B9u;
   std::vector<std::uint64_t> from_ring;
   std::vector<std::uint64_t> from_queue;
-  std::vector<std::uint64_t> scratch;
+  std::vector<std::uint64_t> scratch(64);
   const auto drain_both = [&] {
-    scratch.clear();
-    while (ring.pop_n(scratch, 64) > 0) {
+    while (const std::size_t n = ring.pop_n(scratch)) {
+      from_ring.insert(from_ring.end(), scratch.begin(),
+                       scratch.begin() + static_cast<std::ptrdiff_t>(n));
     }
-    from_ring.insert(from_ring.end(), scratch.begin(), scratch.end());
     from_queue.insert(from_queue.end(), queue.begin(), queue.end());
     queue.clear();
   };
@@ -170,15 +211,15 @@ TEST(SpscRingStress, ProducerConsumerOrderAndChecksum) {
   std::uint64_t popped_sum = 0;
   std::atomic<bool> done{false};
   std::thread consumer([&] {
-    std::vector<std::uint64_t> batch;
+    std::vector<std::uint64_t> batch(8);
     std::uint64_t expect = 0;
     while (expect < kCount) {
-      batch.clear();
-      if (ring.pop_n(batch, 8) == 0) {
+      const std::size_t n = ring.pop_n(batch);
+      if (n == 0) {
         std::this_thread::yield();
         continue;
       }
-      for (const std::uint64_t v : batch) {
+      for (const std::uint64_t v : std::span(batch).first(n)) {
         ASSERT_EQ(v, expect) << "FIFO order violated";
         popped_sum += v * 2654435761u;
         ++expect;
@@ -207,20 +248,18 @@ TEST(SpscRingStress, ShedUnderPressureConservesEveryElement) {
   std::atomic<std::uint64_t> popped{0};
   std::atomic<bool> stop{false};
   std::thread consumer([&] {
-    std::vector<std::uint64_t> batch;
+    std::vector<std::uint64_t> batch(4);
     while (!stop.load(std::memory_order_acquire) || ring.size() > 0) {
       const std::size_t shed = ring.take_shed_requests();
       if (shed > 0) {
-        recycled.fetch_add(
-            ring.discard_n(shed, [](std::uint64_t&&) {}),
-            std::memory_order_relaxed);
+        recycled.fetch_add(ring.discard_n(shed), std::memory_order_relaxed);
       }
-      batch.clear();
-      if (ring.pop_n(batch, 4) == 0) {
+      const std::size_t n = ring.pop_n(batch);
+      if (n == 0) {
         std::this_thread::yield();
         continue;
       }
-      popped.fetch_add(batch.size(), std::memory_order_relaxed);
+      popped.fetch_add(n, std::memory_order_relaxed);
     }
   });
   std::uint64_t pushed = 0;

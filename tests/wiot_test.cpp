@@ -198,32 +198,6 @@ TEST(ValidatePacket, RejectsInsaneSequenceNumbers) {
   EXPECT_EQ(validate_packet(p), PacketFault::kNone);
 }
 
-TEST(ValidatePacket, StatefulOverloadBoundsBackwardJumps) {
-  // The stateless form has no cursor, so any backward seq passes it; the
-  // channel-aware form treats a short step back as a retransmit and a jump
-  // past the replay window as a replayed capture.
-  ChannelView channel;
-  channel.next_seq = 100;
-  channel.replay_window = 16;
-  auto p = valid_packet();
-
-  p.seq = 99;  // immediate retransmit: inside the window
-  EXPECT_EQ(validate_packet(p, {}, channel), PacketFault::kNone);
-  p.seq = 84;  // exactly at the window edge: still a retransmit
-  EXPECT_EQ(validate_packet(p, {}, channel), PacketFault::kNone);
-  p.seq = 83;  // one beyond: replayed capture
-  EXPECT_EQ(validate_packet(p, {}, channel), PacketFault::kSeqReplay);
-  p.seq = 0;   // ancient history
-  EXPECT_EQ(validate_packet(p, {}, channel), PacketFault::kSeqReplay);
-  p.seq = 100;  // live traffic is untouched
-  EXPECT_EQ(validate_packet(p, {}, channel), PacketFault::kNone);
-
-  // The stateful form still enforces every stateless rule first.
-  p.seq = ValidationLimits{}.max_seq;
-  EXPECT_EQ(validate_packet(p, {}, channel), PacketFault::kSeqInsane);
-  EXPECT_STREQ(to_string(PacketFault::kSeqReplay), "seq-replay");
-}
-
 // --- BaseStation ------------------------------------------------------------
 
 TEST_F(WiotTest, LosslessStreamsMatchDirectClassification) {

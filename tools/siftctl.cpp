@@ -65,7 +65,6 @@
 #include "io/csv.hpp"
 #include "io/model_file.hpp"
 #include "net/client.hpp"
-#include "net/packet_pool.hpp"
 #include "net/server.hpp"
 #include "peaks/pan_tompkins.hpp"
 #include "peaks/systolic.hpp"
@@ -961,11 +960,8 @@ int cmd_serve(std::span<const std::string> args) {
   std::optional<fleet::durable::Durability> durability;
   shared.attach_durability(durability);
 
-  // The pool outlives the engine (packet_return fires from workers until
-  // drain) and the engine outlives the server — declaration order is the
-  // teardown contract.
-  net::PacketPool pool;
-  config.packet_return = pool.returner();
+  // The engine outlives the server — declaration order is the teardown
+  // contract.
   std::optional<fleet::FleetEngine> engine_holder;
   if (store) {
     engine_holder.emplace(store->provider, config);
@@ -985,7 +981,7 @@ int cmd_serve(std::span<const std::string> args) {
                  static_cast<unsigned long long>(recovered.frames_replayed));
   }
 
-  net::NetServer server(engine, net_config, &pool);
+  net::NetServer server(engine, net_config);
   server.start();
   std::fprintf(stderr,
                "serve: listening on %s (%zu worker(s), %zu shard(s), "
