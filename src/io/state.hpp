@@ -2,10 +2,12 @@
 //
 // StateWriter/StateReader are a tiny explicit little-endian codec: every
 // field is written by width (no struct memcpy, no padding, no host
-// endianness in the file), and readers fail with a typed error instead of
-// reading past the end — which is exactly the property a checkpoint loader
-// needs when handed a truncated or bit-flipped file that already slipped
-// past the frame CRC (it cannot, but defense in depth is free here).
+// endianness in the file; the bulk f64s() copies memory only where the
+// host is little-endian already), and readers fail with a typed error
+// instead of reading past the end — which is exactly the property a
+// checkpoint loader needs when handed a truncated or bit-flipped file that
+// already slipped past the frame CRC (it cannot, but defense in depth is
+// free here).
 //
 // Header-only on purpose: wiot::BaseStation exports its state through this
 // codec and wiot must not link against sift_io.
@@ -32,6 +34,16 @@ class StateWriter {
   void u64(std::uint64_t v) { put(v, 8); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  /// Same bytes as one f64() per element; a single copy on little-endian
+  /// hosts, where the in-memory layout already is the wire layout.
+  void f64s(std::span<const double> v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      const auto* b = reinterpret_cast<const std::uint8_t*>(v.data());
+      out_.insert(out_.end(), b, b + v.size_bytes());
+    } else {
+      for (const double d : v) f64(d);
+    }
+  }
 
   void bytes(std::span<const std::uint8_t> data) {
     u32(static_cast<std::uint32_t>(data.size()));
@@ -62,6 +74,18 @@ class StateReader {
   std::uint64_t u64() { return get(8); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   double f64() { return std::bit_cast<double>(u64()); }
+  /// Fills @p out as one f64() per element would, bounds-checked once up
+  /// front: a short buffer throws before any element is written.
+  void f64s(std::span<double> out) {
+    require(out.size_bytes());
+    if constexpr (std::endian::native == std::endian::little) {
+      if (out.empty()) return;  // memcpy wants non-null pointers
+      std::memcpy(out.data(), bytes_.data() + cursor_, out.size_bytes());
+      cursor_ += out.size_bytes();
+    } else {
+      for (double& d : out) d = f64();
+    }
+  }
 
   std::span<const std::uint8_t> bytes() {
     const std::uint32_t n = u32();

@@ -32,6 +32,13 @@ void expect_type(io::StateReader& reader, MsgType want, const char* what) {
   }
 }
 
+/// A count field is checked against the bytes left in the payload before
+/// the buffer it sizes is resized: a short frame claiming a large count
+/// throws without growing the caller's buffer.
+void expect_remaining(const io::StateReader& reader, std::size_t bytes) {
+  if (reader.remaining() < bytes) throw Error("wire: truncated packet");
+}
+
 }  // namespace
 
 void Encoder::hello(std::vector<std::uint8_t>& out, std::uint8_t flags) {
@@ -61,7 +68,7 @@ void Encoder::packet(std::vector<std::uint8_t>& out, std::int32_t user_id,
   w.u32(packet.seq);
   w.f64(packet.sample_rate_hz);
   w.u32(static_cast<std::uint32_t>(packet.samples.size()));
-  for (const double s : packet.samples) w.f64(s);
+  w.f64s(packet.samples);
   w.u32(static_cast<std::uint32_t>(packet.peaks.size()));
   for (const std::size_t p : packet.peaks) {
     w.u32(static_cast<std::uint32_t>(p));
@@ -146,12 +153,14 @@ std::int32_t decode_packet(std::span<const std::uint8_t> payload,
     if (n_samples > kMaxSamplesPerPacket) {
       throw Error("wire: sample count exceeds bound");
     }
+    expect_remaining(r, 8 * std::size_t{n_samples});
     into.samples.resize(n_samples);
-    for (std::uint32_t i = 0; i < n_samples; ++i) into.samples[i] = r.f64();
+    r.f64s(into.samples);
     const std::uint32_t n_peaks = r.u32();
     if (n_peaks > kMaxPeaksPerPacket) {
       throw Error("wire: peak count exceeds bound");
     }
+    expect_remaining(r, 4 * std::size_t{n_peaks});
     into.peaks.resize(n_peaks);
     for (std::uint32_t i = 0; i < n_peaks; ++i) into.peaks[i] = r.u32();
     return user_id;

@@ -1,12 +1,22 @@
-// Tests for CSV trace interchange and user-model persistence.
+// Tests for CSV trace interchange, user-model persistence, the frame
+// checksum and the binary state codec.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/detector.hpp"
 #include "io/csv.hpp"
+#include "io/framed.hpp"
 #include "io/model_file.hpp"
+#include "io/state.hpp"
+#include "net/wire.hpp"
 #include "physio/user_profile.hpp"
 
 namespace sift::io {
@@ -293,6 +303,177 @@ TEST_F(IoTest, UserModelRejectsHostileCrcHeaders) {
                           "\nuser_id 1\n");
     EXPECT_THROW((void)read_user_model(bad), std::runtime_error) << header;
   }
+}
+
+// --- Frame checksum ------------------------------------------------------------
+
+/// The textbook bit-at-a-time CRC-32 (no tables), kept here as the
+/// reference the library's sliced implementation must match exactly.
+std::uint32_t bytewise_crc32(std::span<const std::uint8_t> data,
+                             std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> pseudo_random_bytes(std::size_t n) {
+  std::vector<std::uint8_t> out(n);
+  std::uint32_t x = 0x9E3779B9u;
+  for (auto& b : out) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  return out;
+}
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  std::string out;
+  char buf[3];
+  for (const std::uint8_t b : bytes) {
+    std::snprintf(buf, sizeof buf, "%02x", b);
+    out += buf;
+  }
+  return out;
+}
+
+TEST(FramedCrcTest, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32({reinterpret_cast<const std::uint8_t*>(check.data()),
+                   check.size()}),
+            0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(FramedCrcTest, SeedChainsAtEverySplitPoint) {
+  const auto bytes = pseudo_random_bytes(1468);
+  const std::span<const std::uint8_t> all(bytes);
+  const std::uint32_t whole = crc32(all);
+  for (std::size_t split = 0; split <= all.size(); ++split) {
+    ASSERT_EQ(crc32(all.subspan(split), crc32(all.first(split))), whole)
+        << "split " << split;
+  }
+}
+
+TEST(FramedCrcTest, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  const auto bytes = pseudo_random_bytes(1468 + 8);
+  const std::span<const std::uint8_t> all(bytes);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const auto slice = all.subspan(offset, len);
+      ASSERT_EQ(crc32(slice), bytewise_crc32(slice))
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(crc32(slice, 0xDEADBEEFu), bytewise_crc32(slice, 0xDEADBEEFu))
+          << "seeded, offset " << offset << " len " << len;
+    }
+    const auto packet_sized = all.subspan(offset, 1468);
+    EXPECT_EQ(crc32(packet_sized), bytewise_crc32(packet_sized))
+        << "offset " << offset;
+  }
+}
+
+TEST(FramedCrcTest, WirePacketFrameBytesArePinned) {
+  // One PACKET frame as the wire encoder emits it: header, CRC and body.
+  // Any change to the checksum, the frame layout or the sample encoding
+  // breaks this string — and with it every journal, checkpoint and peer.
+  wiot::Packet packet;
+  packet.kind = wiot::ChannelKind::kAbp;
+  packet.seq = 7;
+  packet.sample_rate_hz = 360.0;
+  for (int i = 0; i < 13; ++i) packet.samples.push_back(i * 0.25 - 1.5);
+  packet.peaks = {1, 5, 11};
+  net::wire::Encoder encoder;
+  std::vector<std::uint8_t> frame;
+  encoder.packet(frame, 42, packet);
+  EXPECT_EQ(hex(frame),
+            "8e000000d2aa33ac022a000000010700000000000000008076400d0000000000"
+            "00000000f8bf000000000000f4bf000000000000f0bf000000000000e8bf0000"
+            "00000000e0bf000000000000d0bf0000000000000000000000000000d03f0000"
+            "00000000e03f000000000000e83f000000000000f03f000000000000f43f0000"
+            "00000000f83f0300000001000000050000000b000000");
+}
+
+// --- State codec ----------------------------------------------------------------
+
+std::vector<double> awkward_doubles() {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  return {0.0,
+          -0.0,
+          1.5,
+          -2.25e300,
+          std::numeric_limits<double>::denorm_min(),
+          -std::numeric_limits<double>::denorm_min() * 12345.0,
+          inf,
+          -inf,
+          std::bit_cast<double>(std::uint64_t{0x7FF8000000000001}),  // qNaN
+          std::bit_cast<double>(std::uint64_t{0xFFF4000000C0FFEE}),  // sNaN
+          std::bit_cast<double>(std::uint64_t{0x7FFFFFFFFFFFFFFF})};
+}
+
+TEST(StateCodecTest, BulkWriteMatchesPerFieldWrites) {
+  const auto values = awkward_doubles();
+  std::vector<std::uint8_t> bulk{0xAB}, per_field{0xAB};
+  StateWriter(bulk).f64s(values);
+  StateWriter w(per_field);
+  for (const double v : values) w.f64(v);
+  EXPECT_EQ(bulk, per_field);
+}
+
+TEST(StateCodecTest, BulkReadRoundTripsEveryBitPattern) {
+  const auto values = awkward_doubles();
+  std::vector<std::uint8_t> bytes;
+  StateWriter w(bytes);
+  w.u8(0x5A);  // an odd lead so the doubles sit unaligned in the buffer
+  w.f64s(values);
+  StateReader r(bytes);
+  EXPECT_EQ(r.u8(), 0x5A);
+  std::vector<double> back(values.size());
+  r.f64s(back);
+  EXPECT_TRUE(r.exhausted());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]),
+              std::bit_cast<std::uint64_t>(values[i]))
+        << "element " << i;
+  }
+}
+
+TEST(StateCodecTest, EmptySpanIsANoOp) {
+  std::vector<std::uint8_t> bytes{1, 2, 3};
+  StateWriter(bytes).f64s({});
+  EXPECT_EQ(bytes.size(), 3u);
+  StateReader r(bytes);
+  r.f64s({});
+  EXPECT_EQ(r.remaining(), 3u);
+}
+
+TEST(StateCodecTest, ShortBulkReadThrowsBeforeWriting) {
+  std::vector<std::uint8_t> bytes;
+  StateWriter(bytes).f64s(std::vector<double>{1.0, 2.0, 3.0});
+  bytes.pop_back();
+  StateReader r(bytes);
+  std::vector<double> out(3, -7.0);
+  EXPECT_THROW(r.f64s(out), std::runtime_error);
+  EXPECT_EQ(out, std::vector<double>(3, -7.0));
+  EXPECT_EQ(r.remaining(), bytes.size());
+}
+
+TEST(StateCodecTest, ShortSampleBodySurfacesAsWireError) {
+  wiot::Packet packet;
+  packet.samples = {1.0, 2.0, 3.0};
+  net::wire::Encoder encoder;
+  std::vector<std::uint8_t> frame;
+  encoder.packet(frame, 9, packet);
+  FrameReader reader(frame);
+  const auto payload = reader.next();
+  ASSERT_TRUE(payload.has_value());
+  wiot::Packet decoded;
+  ASSERT_EQ(net::wire::decode_packet(*payload, decoded), 9);
+  // Cut the body inside the last sample (the 4-byte peak count and 7 of
+  // the sample's 8 bytes).
+  const auto cut = payload->first(payload->size() - 11);
+  EXPECT_THROW(net::wire::decode_packet(cut, decoded), net::wire::Error);
 }
 
 }  // namespace

@@ -216,7 +216,52 @@ TEST(WireTest, MalformedPayloadsThrow) {
   w.u32(0);
   w.f64(360.0);
   w.u32(0x7fffffff);  // sample count
-  EXPECT_THROW(wire::decode_packet(hostile, scratch), wire::Error);
+  std::uint64_t bound_throw_allocs = 0;
+  {
+    testing::AllocGuard guard;
+    EXPECT_THROW(wire::decode_packet(hostile, scratch), wire::Error);
+    bound_throw_allocs = guard.count();
+  }
+
+  // An in-bound count on a short body (22 bytes claiming 8192 samples) is
+  // checked against the payload length before the sample buffer is sized:
+  // the decode allocates nothing beyond the thrown error's own message —
+  // exactly what the out-of-bound throw above costs — and the buffer keeps
+  // its capacity.
+  std::vector<std::uint8_t> short_body;
+  io::StateWriter ws(short_body);
+  ws.u8(static_cast<std::uint8_t>(wire::MsgType::kPacket));
+  ws.i32(1);
+  ws.u8(0);
+  ws.u32(0);
+  ws.f64(360.0);
+  ws.u32(static_cast<std::uint32_t>(wire::kMaxSamplesPerPacket));
+  ASSERT_EQ(short_body.size(), 22u);
+  const std::size_t samples_capacity = scratch.samples.capacity();
+  {
+    testing::AllocGuard guard;
+    EXPECT_THROW(wire::decode_packet(short_body, scratch), wire::Error);
+    EXPECT_EQ(guard.count(), bound_throw_allocs);
+  }
+  EXPECT_EQ(scratch.samples.capacity(), samples_capacity);
+
+  // The same holds for the peak count once the samples are intact.
+  std::vector<std::uint8_t> short_peaks;
+  io::StateWriter wp(short_peaks);
+  wp.u8(static_cast<std::uint8_t>(wire::MsgType::kPacket));
+  wp.i32(1);
+  wp.u8(0);
+  wp.u32(0);
+  wp.f64(360.0);
+  wp.u32(0);  // no samples
+  wp.u32(static_cast<std::uint32_t>(wire::kMaxPeaksPerPacket));
+  const std::size_t peaks_capacity = scratch.peaks.capacity();
+  {
+    testing::AllocGuard guard;
+    EXPECT_THROW(wire::decode_packet(short_peaks, scratch), wire::Error);
+    EXPECT_EQ(guard.count(), bound_throw_allocs);
+  }
+  EXPECT_EQ(scratch.peaks.capacity(), peaks_capacity);
 
   // Trailing bytes after a valid hello (one extra byte is the optional
   // flags field, so the overrun needs two).
