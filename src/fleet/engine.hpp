@@ -58,9 +58,9 @@ class Durability;
 
 /// What a full (producer, worker) lane does with the next envelope: block
 /// the producer (lossless, pushes the pressure back to the ingest socket)
-/// or shed the *oldest* staged envelope (bounded latency, mirrors
-/// RingBuffer::push_evict: stale sensor windows are worth less than fresh
-/// ones, and every shed envelope is counted so operators see the loss).
+/// or shed the *oldest* staged envelope (bounded latency: stale sensor
+/// windows are worth less than fresh ones, and every shed envelope is
+/// counted so operators see the loss).
 enum class BackpressurePolicy {
   kBlock,      ///< producers wait for space (lossless)
   kDropOldest  ///< evict the oldest staged element, count the drop

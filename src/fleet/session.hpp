@@ -4,7 +4,9 @@
 // station — packet reassembly plus the per-user SIFT detector — wrapped so
 // thousands of them can coexist: the UserModel is *shared* (the detector
 // references the registry's resident copy instead of owning one), and the
-// reassembly buffers are bounded (BaseStation::Config::max_buffered_windows).
+// reassembly buffers are bounded (BaseStation::Config::max_buffered_windows)
+// but sized by what they hold: about one window per channel when the two
+// streams arrive interleaved.
 // Each session also owns (through its station) a core::WindowScratch arena,
 // so steady-state classification in the worker loop allocates nothing —
 // set Config::max_report_history to bound report retention and make the

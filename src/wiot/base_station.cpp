@@ -1,6 +1,7 @@
 #include "wiot/base_station.hpp"
 
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "io/state.hpp"
@@ -22,19 +23,21 @@ BaseStation::Config BaseStation::validated(Config config) {
 }
 
 BaseStation::BaseStation(core::Detector detector, Config config)
-    : detector_(std::move(detector)),
-      config_(validated(config)),
-      ecg_(config_.max_buffered_windows * config_.window_samples),
-      abp_(config_.max_buffered_windows * config_.window_samples) {}
+    : BaseStation(config) {
+  detector_.emplace(std::move(detector));
+}
 
-BaseStation::BaseStation(Config config)
-    : config_(validated(config)),
-      ecg_(config_.max_buffered_windows * config_.window_samples),
-      abp_(config_.max_buffered_windows * config_.window_samples) {}
+BaseStation::BaseStation(Config config) : config_(validated(config)) {
+  // One window per channel is the interleaved high-water mark, so steady
+  // state never reallocates; only a stalled peer grows a buffer further.
+  ecg_.samples.reserve(config_.window_samples);
+  abp_.samples.reserve(config_.window_samples);
+}
 
 bool BaseStation::append(Stream& s, const Packet& p, bool as_gap_fill) {
   const std::size_t n = config_.samples_per_packet;
-  if (s.samples.free_space() < n) {
+  const std::size_t base = s.samples.size();
+  if (bound() - base < n) {
     // The buffer bound protects station memory when the peer channel stalls
     // and no windows can complete. Shedding here behaves exactly like
     // network loss: next_seq is left untouched by the caller, so once space
@@ -43,23 +46,37 @@ bool BaseStation::append(Stream& s, const Packet& p, bool as_gap_fill) {
     ++stats_.overflow_dropped;
     return false;
   }
-  const std::size_t base = s.samples.size();
   if (as_gap_fill) {
     // Sample-and-hold reconstruction: repeat the last known value (or 0 at
     // stream start). No peaks are invented for the missing span.
     const double hold = base > 0 ? s.samples.back() : 0.0;
-    hold_scratch_.assign(n, hold);
-    s.samples.push_span(hold_scratch_);
-    flag_scratch_.assign(n, 1);
-    s.filled.push_span(flag_scratch_);
+    s.samples.insert(s.samples.end(), n, hold);
+    if (!s.gaps.empty() && s.gaps.back().end == base) {
+      s.gaps.back().end += n;
+    } else {
+      s.gaps.push_back({base, base + n});
+    }
     ++stats_.gaps_filled;
     return true;
   }
-  s.samples.push_span(p.samples);
-  flag_scratch_.assign(n, 0);
-  s.filled.push_span(flag_scratch_);
+  s.samples.insert(s.samples.end(), p.samples.begin(), p.samples.end());
   for (std::size_t rel : p.peaks) s.peaks.push_back(base + rel);
   return true;
+}
+
+void BaseStation::Stream::consume(std::size_t n) {
+  samples.erase(samples.begin(),
+                samples.begin() + static_cast<std::ptrdiff_t>(n));
+  std::size_t kept = 0;
+  for (const Gap g : gaps) {
+    if (g.end > n) gaps[kept++] = {g.begin > n ? g.begin - n : 0, g.end - n};
+  }
+  gaps.resize(kept);
+  kept = 0;
+  for (std::size_t p : peaks) {
+    if (p >= n) peaks[kept++] = p - n;
+  }
+  peaks.resize(kept);
 }
 
 void BaseStation::receive(const Packet& packet) {
@@ -107,24 +124,17 @@ void BaseStation::receive(const Packet& packet) {
 void BaseStation::classify_ready_windows() {
   const std::size_t w = config_.window_samples;
   while (ecg_.samples.size() >= w && abp_.samples.size() >= w) {
-    // Consume the window from both streams up front: drain_into moves the
-    // samples out in two contiguous chunks, and the scratch vectors give
-    // the detector the contiguous spans it needs.
-    ecg_win_.clear();
-    abp_win_.clear();
-    ecg_fill_.clear();
-    abp_fill_.clear();
-    ecg_.samples.drain_into(ecg_win_, w);
-    ecg_.filled.drain_into(ecg_fill_, w);
-    abp_.samples.drain_into(abp_win_, w);
-    abp_.filled.drain_into(abp_fill_, w);
+    // Both windows are the contiguous prefixes of their buffers; they are
+    // read in place and consumed once the verdict is in.
+    const std::span<const double> ecg_win(ecg_.samples.data(), w);
+    const std::span<const double> abp_win(abp_.samples.data(), w);
 
     WindowReport report;
     report.window_index = stats_.windows_classified;
     if (detector_) {
       core::PortraitInput in;
-      in.ecg = std::span<const double>(ecg_win_.data(), w);
-      in.abp = std::span<const double>(abp_win_.data(), w);
+      in.ecg = ecg_win;
+      in.abp = abp_win;
 
       scratch_.clear();
       for (std::size_t p : ecg_.peaks) {
@@ -153,21 +163,19 @@ void BaseStation::classify_ready_windows() {
     // gross rate-mismatch hijack.
     if (config_.spectral_cross_check) {
       const double rate = physio::kDefaultRateHz;
-      const double hr_ecg = signal::spectral_heart_rate_bpm(
-          signal::Series(rate, ecg_win_));
-      const double hr_abp = signal::spectral_heart_rate_bpm(
-          signal::Series(rate, abp_win_));
+      const double hr_ecg = signal::spectral_heart_rate_bpm(signal::Series(
+          rate, std::vector<double>(ecg_win.begin(), ecg_win.end())));
+      const double hr_abp = signal::spectral_heart_rate_bpm(signal::Series(
+          rate, std::vector<double>(abp_win.begin(), abp_win.end())));
       if (hr_ecg > 0.0 && hr_abp > 0.0 &&
           std::abs(hr_ecg - hr_abp) > config_.hr_mismatch_bpm) {
         report.hr_mismatch = true;
         report.altered = true;
       }
     }
-    for (std::size_t i = 0; i < w; ++i) {
-      if (ecg_fill_[i] || abp_fill_[i]) {
-        report.degraded = true;
-        break;
-      }
+    // Gap runs are sorted, so the first one decides.
+    for (const Stream* s : {&ecg_, &abp_}) {
+      if (!s->gaps.empty() && s->gaps.front().begin < w) report.degraded = true;
     }
     if (config_.max_report_history > 0 &&
         reports_.size() >= config_.max_report_history) {
@@ -180,15 +188,8 @@ void BaseStation::classify_ready_windows() {
     ++stats_.windows_classified;
     if (report.altered) ++stats_.alerts;
 
-    // Rebase the surviving peak annotations onto the drained buffers,
-    // compacting in place (no transient vector).
-    for (Stream* s : {&ecg_, &abp_}) {
-      std::size_t kept = 0;
-      for (std::size_t p : s->peaks) {
-        if (p >= w) s->peaks[kept++] = p - w;
-      }
-      s->peaks.resize(kept);
-    }
+    ecg_.consume(w);
+    abp_.consume(w);
   }
 }
 
@@ -232,15 +233,18 @@ void BaseStation::export_state(io::StateWriter& w) const {
   }
 
   for (const Stream* s : {&ecg_, &abp_}) {
+    const std::size_t n = s->samples.size();
     w.u32(s->next_seq);
-    w.u32(static_cast<std::uint32_t>(s->samples.size()));
-    for (std::size_t i = 0; i < s->samples.size(); ++i) {
-      w.f64(s->samples.at(i));
+    w.u32(static_cast<std::uint32_t>(n));
+    w.f64s(s->samples);
+    // The format keeps one flag byte per sample (1 = gap-filled).
+    w.u32(static_cast<std::uint32_t>(n));
+    std::size_t i = 0;
+    for (const Gap& g : s->gaps) {
+      for (; i < g.begin; ++i) w.u8(0);
+      for (; i < g.end; ++i) w.u8(1);
     }
-    w.u32(static_cast<std::uint32_t>(s->filled.size()));
-    for (std::size_t i = 0; i < s->filled.size(); ++i) {
-      w.u8(s->filled.at(i));
-    }
+    for (; i < n; ++i) w.u8(0);
     w.u32(static_cast<std::uint32_t>(s->peaks.size()));
     for (std::size_t p : s->peaks) w.u64(p);
   }
@@ -285,17 +289,24 @@ void BaseStation::import_state(io::StateReader& r) {
   for (Stream* s : {&ecg_, &abp_}) {
     s->next_seq = r.u32();
     const std::uint32_t n_samples = r.u32();
-    if (n_samples > s->samples.capacity()) {
+    if (n_samples > bound()) {
       throw std::runtime_error("BaseStation: checkpoint residue overflows");
     }
-    s->samples.clear();
-    for (std::uint32_t i = 0; i < n_samples; ++i) s->samples.push(r.f64());
-    const std::uint32_t n_filled = r.u32();
-    if (n_filled > s->filled.capacity()) {
-      throw std::runtime_error("BaseStation: checkpoint residue overflows");
+    s->samples.resize(n_samples);
+    r.f64s(s->samples);
+    if (r.u32() != n_samples) {
+      throw std::runtime_error(
+          "BaseStation: checkpoint gap flags do not match its samples");
     }
-    s->filled.clear();
-    for (std::uint32_t i = 0; i < n_filled; ++i) s->filled.push(r.u8());
+    s->gaps.clear();
+    for (std::size_t i = 0; i < n_samples; ++i) {
+      if (r.u8() == 0) continue;
+      if (!s->gaps.empty() && s->gaps.back().end == i) {
+        ++s->gaps.back().end;
+      } else {
+        s->gaps.push_back({i, i + 1});
+      }
+    }
     const std::uint32_t n_peaks = r.u32();
     s->peaks.clear();
     s->peaks.reserve(n_peaks);

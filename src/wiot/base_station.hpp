@@ -17,7 +17,6 @@
 
 #include "core/detector.hpp"
 #include "core/window_scratch.hpp"
-#include "signal/ring_buffer.hpp"
 #include "wiot/packet.hpp"
 
 namespace sift::io {
@@ -41,10 +40,12 @@ class BaseStation {
     /// bin, but genuine channels share every beat and land in the *same*
     /// bin, so 1.5 bins of slack is already conservative.
     double hr_mismatch_bpm = 15.0;
-    /// Per-channel reassembly buffer, in windows. Bounds station memory when
+    /// Per-channel reassembly bound, in windows. Bounds station memory when
     /// one channel stalls (windows only complete when *both* streams have w
     /// samples, so the leading stream would otherwise grow without limit —
-    /// fatal once thousands of sessions each hold a station). Packets that
+    /// fatal once thousands of sessions each hold a station). The bound is
+    /// enforced, not allocated: a channel's buffer grows with what it holds,
+    /// and interleaved channels never hold more than one window. Packets that
     /// do not fit are dropped and counted in Stats::overflow_dropped; the
     /// sequence-gap machinery later reconstructs them like network loss, so
     /// the two streams never shear out of alignment.
@@ -125,30 +126,46 @@ class BaseStation {
   const core::Detector& detector() const noexcept { return *detector_; }
 
   /// Serializes the reassembly state a restart cannot recompute: stats,
-  /// report history, and per-channel sequence cursors, ring residue
-  /// (samples + gap-fill flags), and peak annotations. The detector is
-  /// deliberately excluded — models are re-provided by the fleet registry.
+  /// report history, and per-channel sequence cursors, buffered residue
+  /// (samples + one gap-fill flag byte per sample, expanded from the gap
+  /// runs), and peak annotations. The detector is deliberately excluded —
+  /// models are re-provided by the fleet registry.
   void export_state(io::StateWriter& w) const;
 
   /// Inverse of export_state. The stored geometry (window size, packet
   /// size, buffer bound) must match this station's config — restoring a
   /// checkpoint into a differently-shaped station would silently shear the
-  /// streams. @throws std::runtime_error on mismatch or truncation.
+  /// streams. @throws std::runtime_error on mismatch, truncation, a residue
+  /// beyond the buffer bound, or a flag count that differs from the sample
+  /// count.
   void import_state(io::StateReader& r);
 
  private:
-  /// Bounded reassembly state; samples move through the ring buffers in
-  /// bulk (push_span on ingest, drain_into on window completion) so the
-  /// hot path never touches the per-sample modulo arithmetic.
+  /// A [begin, end) run of gap-filled samples, relative to the oldest.
+  struct Gap {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+
+  /// Linear reassembly state: the oldest sample sits at index 0, so a
+  /// complete window is the contiguous prefix the detector reads in place.
+  /// Gap fills are rare, so they are kept as runs rather than one flag per
+  /// sample.
   struct Stream {
-    explicit Stream(std::size_t capacity) : samples(capacity), filled(capacity) {}
     std::uint32_t next_seq = 0;
-    signal::RingBuffer<double> samples;
-    signal::RingBuffer<std::uint8_t> filled;  ///< 1 = gap-filled sample
+    std::vector<double> samples;
+    std::vector<Gap> gaps;           ///< sorted, adjacent runs merged
     std::vector<std::size_t> peaks;  ///< indexes relative to oldest sample
+
+    /// Drops the oldest @p n samples and rebases gaps and peaks onto the
+    /// remainder, in place.
+    void consume(std::size_t n);
   };
 
   static Config validated(Config config);
+  std::size_t bound() const noexcept {
+    return config_.max_buffered_windows * config_.window_samples;
+  }
 
   Stream& stream_for(ChannelKind kind) {
     return kind == ChannelKind::kEcg ? ecg_ : abp_;
@@ -167,12 +184,6 @@ class BaseStation {
   // performs zero heap allocations per window once warm (spectral
   // cross-check, off by default, is outside that envelope).
   core::WindowScratch scratch_;
-  std::vector<std::uint8_t> flag_scratch_;
-  std::vector<double> hold_scratch_;
-  std::vector<double> ecg_win_;
-  std::vector<double> abp_win_;
-  std::vector<std::uint8_t> ecg_fill_;
-  std::vector<std::uint8_t> abp_fill_;
 };
 
 }  // namespace sift::wiot

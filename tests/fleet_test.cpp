@@ -4,6 +4,7 @@
 // canary: it must stay deterministic (block policy, per-user FIFO) and
 // clean under SIFT_SANITIZE=thread.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
@@ -794,6 +795,40 @@ TEST(SessionMemory, SteadyStateReceiveIsAllocationFree) {
   EXPECT_EQ(session.stats().windows_classified, 2 * windows_after_warmup);
   EXPECT_EQ(session.station().reports().size(), station.max_report_history)
       << "retention bound holds";
+}
+
+// Heap bytes in use, the way perfbench's layer walk measures a session.
+std::size_t heap_in_use() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+// A station's memory follows what it holds: interleaved channels never
+// hold more than one window each, so a fed station costs about two
+// windows of samples (2 x 1080 doubles, ~17 KB) no matter how large the
+// 16-window overflow bound is.
+TEST(SessionMemory, StationHoldsOneWindowPerChannel) {
+  const auto cohort = physio::synthetic_cohort(1, 7);
+  const auto rec =
+      physio::generate_record(cohort[0], 60.0, physio::kDefaultRateHz, 2);
+  wiot::BaseStation::Config config;
+  config.max_report_history = 8;
+  const auto packets = packetize(rec, config.samples_per_packet, 0);
+
+  constexpr std::size_t kStations = 64;
+  std::vector<wiot::BaseStation> stations;
+  stations.reserve(kStations);
+  const std::size_t before = heap_in_use();
+  for (std::size_t i = 0; i < kStations; ++i) {
+    wiot::BaseStation& station = stations.emplace_back(config);
+    for (const auto& p : packets) station.receive(p);
+  }
+  const double per_station_kb =
+      static_cast<double>(heap_in_use() - before) / kStations / 1024.0;
+  EXPECT_LE(per_station_kb, 24.0);
+  EXPECT_EQ(stations.back().stats().windows_classified,
+            rec.ecg.size() / config.window_samples);
+  EXPECT_EQ(stations.back().stats().overflow_dropped, 0u);
 }
 
 // The LRU registry under engine traffic: 64 users share 3 artefacts, so a

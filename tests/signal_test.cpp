@@ -1,4 +1,4 @@
-// Unit tests for sift::signal — series, buffers, statistics, filters.
+// Unit tests for sift::signal — series, statistics, filters.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "signal/filters.hpp"
 #include "signal/normalize.hpp"
 #include "signal/resample.hpp"
-#include "signal/ring_buffer.hpp"
 #include "signal/series.hpp"
 #include "signal/stats.hpp"
 #include "signal/window.hpp"
@@ -72,115 +71,6 @@ TEST(Series, AppendRequiresMatchingRate) {
   EXPECT_EQ(a.size(), 3u);
   Series c(20.0, {4});
   EXPECT_THROW(a.append(c), std::invalid_argument);
-}
-
-// --- RingBuffer ----------------------------------------------------------------
-
-TEST(RingBuffer, RejectsZeroCapacity) {
-  EXPECT_THROW(RingBuffer<int>(0), std::invalid_argument);
-}
-
-TEST(RingBuffer, FifoOrder) {
-  RingBuffer<int> rb(3);
-  rb.push(1);
-  rb.push(2);
-  rb.push(3);
-  EXPECT_TRUE(rb.full());
-  EXPECT_EQ(rb.pop(), 1);
-  EXPECT_EQ(rb.pop(), 2);
-  rb.push(4);
-  EXPECT_EQ(rb.pop(), 3);
-  EXPECT_EQ(rb.pop(), 4);
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBuffer, PushThrowsWhenFull) {
-  RingBuffer<int> rb(1);
-  rb.push(1);
-  EXPECT_THROW(rb.push(2), std::overflow_error);
-}
-
-TEST(RingBuffer, PushEvictDropsOldest) {
-  RingBuffer<int> rb(2);
-  EXPECT_FALSE(rb.push_evict(1));
-  EXPECT_FALSE(rb.push_evict(2));
-  EXPECT_TRUE(rb.push_evict(3)) << "eviction reported";
-  EXPECT_EQ(rb.pop(), 2);
-  EXPECT_EQ(rb.pop(), 3);
-}
-
-TEST(RingBuffer, PopAndFrontThrowWhenEmpty) {
-  RingBuffer<int> rb(2);
-  EXPECT_THROW(rb.pop(), std::underflow_error);
-  EXPECT_THROW(rb.front(), std::underflow_error);
-}
-
-TEST(RingBuffer, SnapshotPreservesOrderAcrossWraparound) {
-  RingBuffer<int> rb(3);
-  for (int i = 0; i < 5; ++i) rb.push_evict(i);
-  EXPECT_EQ(rb.snapshot(), (std::vector<int>{2, 3, 4}));
-  EXPECT_THROW(rb.at(3), std::out_of_range);
-}
-
-TEST(RingBuffer, PushEvictDropAccountingOverAStream) {
-  // The drop-accounting contract the streaming pipeline relies on: pushing
-  // N elements through a capacity-C buffer reports exactly N - C evictions
-  // and retains the C newest, oldest first.
-  RingBuffer<int> rb(3);
-  std::size_t evictions = 0;
-  for (int i = 0; i < 10; ++i) {
-    if (rb.push_evict(i)) ++evictions;
-  }
-  EXPECT_EQ(evictions, 7u);
-  EXPECT_EQ(rb.snapshot(), (std::vector<int>{7, 8, 9}));
-}
-
-TEST(RingBuffer, FreeSpaceAndBackTrackTheNewestElement) {
-  RingBuffer<int> rb(3);
-  EXPECT_EQ(rb.free_space(), 3u);
-  EXPECT_THROW(rb.back(), std::underflow_error);
-  rb.push(1);
-  rb.push(2);
-  EXPECT_EQ(rb.free_space(), 1u);
-  EXPECT_EQ(rb.back(), 2);
-  EXPECT_EQ(rb.front(), 1);
-}
-
-TEST(RingBuffer, PushSpanCopiesAcrossTheWrapPoint) {
-  RingBuffer<int> rb(5);
-  rb.push(0);
-  rb.push(1);
-  rb.push(2);
-  EXPECT_EQ(rb.pop(), 0);
-  EXPECT_EQ(rb.pop(), 1);
-  // head is now at index 2; a 4-element span must wrap around the end.
-  const std::vector<int> bulk{3, 4, 5, 6};
-  rb.push_span(bulk);
-  EXPECT_EQ(rb.snapshot(), (std::vector<int>{2, 3, 4, 5, 6}));
-  EXPECT_TRUE(rb.full());
-}
-
-TEST(RingBuffer, PushSpanRejectsOversizeWithoutPartialWrite) {
-  RingBuffer<int> rb(3);
-  rb.push(1);
-  const std::vector<int> bulk{2, 3, 4};
-  EXPECT_THROW(rb.push_span(bulk), std::overflow_error);
-  EXPECT_EQ(rb.size(), 1u) << "failed bulk push writes nothing";
-  EXPECT_EQ(rb.snapshot(), (std::vector<int>{1}));
-}
-
-TEST(RingBuffer, DrainIntoAppendsOldestFirstAndReportsCount) {
-  RingBuffer<int> rb(4);
-  for (int i = 0; i < 6; ++i) rb.push_evict(i);  // holds {2,3,4,5}, wrapped
-  std::vector<int> out{-1};
-  EXPECT_EQ(rb.drain_into(out, 3), 3u);
-  EXPECT_EQ(out, (std::vector<int>{-1, 2, 3, 4})) << "appends, oldest first";
-  EXPECT_EQ(rb.size(), 1u);
-  EXPECT_EQ(rb.drain_into(out, 10), 1u) << "partial drain reports the size";
-  EXPECT_EQ(out.back(), 5);
-  EXPECT_EQ(rb.drain_into(out, 1), 0u) << "empty buffer drains nothing";
-  rb.push(7);
-  EXPECT_EQ(rb.front(), 7) << "buffer is reusable after a full drain";
 }
 
 // --- stats ---------------------------------------------------------------------

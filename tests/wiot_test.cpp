@@ -2,14 +2,19 @@
 // station's stream alignment, the sink, and the end-to-end scenario.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "attack/attack.hpp"
 #include "attack/scenario.hpp"
 #include "core/trainer.hpp"
+#include "io/state.hpp"
 #include "physio/dataset.hpp"
 #include "wiot/base_station.hpp"
 #include "wiot/channel.hpp"
@@ -349,6 +354,147 @@ TEST_F(WiotTest, OverflowShedsReadAsLossAndGapFillLater) {
   ASSERT_EQ(station.stats().windows_classified, 3u);
   EXPECT_FALSE(station.reports()[1].degraded) << "real packets 2-3";
   EXPECT_TRUE(station.reports()[2].degraded) << "sample-and-hold span";
+}
+
+// Same windows, same verdicts, whichever channel leads: ABP lagging up to
+// 15 windows behind ECG still fits the default 16-window bound, so nothing
+// is shed and every report matches the interleaved run bit for bit. ECG
+// packets 5 and 6 are lost, so their gap-fill run straddles the boundary
+// between windows 0 and 1.
+TEST_F(WiotTest, ReportsAreInvariantToArrivalSkew) {
+  const physio::Record& rec = (*testing_)[0];
+  std::vector<Packet> ecg;
+  std::vector<Packet> abp;
+  SensorNode ecg_node(ChannelKind::kEcg, rec, 180);
+  SensorNode abp_node(ChannelKind::kAbp, rec, 180);
+  while (auto p = ecg_node.poll()) ecg.push_back(*p);
+  while (auto p = abp_node.poll()) abp.push_back(*p);
+  ASSERT_EQ(ecg.size(), abp.size());
+
+  auto run = [&](std::size_t lag_windows) {
+    BaseStation station(core::Detector(*model_), {1080, 180});
+    const std::size_t lag = lag_windows * (1080 / 180);
+    for (std::size_t i = 0; i < ecg.size() + lag; ++i) {
+      if (i < ecg.size() && i != 5 && i != 6) station.receive(ecg[i]);
+      if (i >= lag) station.receive(abp[i - lag]);
+    }
+    EXPECT_EQ(station.stats().overflow_dropped, 0u) << "lag " << lag_windows;
+    EXPECT_EQ(station.stats().gaps_filled, 2u) << "lag " << lag_windows;
+    return station.reports();
+  };
+
+  const auto interleaved = run(0);
+  ASSERT_EQ(interleaved.size(), rec.ecg.size() / 1080);
+  for (std::size_t i = 0; i < interleaved.size(); ++i) {
+    EXPECT_EQ(interleaved[i].degraded, i < 2)
+        << "window " << i << ": only the two windows the run touches";
+  }
+  for (const std::size_t k : {1u, 8u, 15u}) {
+    const auto skewed = run(k);
+    ASSERT_EQ(skewed.size(), interleaved.size()) << "lag " << k;
+    for (std::size_t i = 0; i < skewed.size(); ++i) {
+      EXPECT_EQ(skewed[i].window_index, interleaved[i].window_index);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(skewed[i].decision_value),
+                std::bit_cast<std::uint64_t>(interleaved[i].decision_value))
+          << "lag " << k << ", window " << i;
+      EXPECT_EQ(skewed[i].degraded, interleaved[i].degraded);
+      EXPECT_EQ(skewed[i].altered, interleaved[i].altered);
+    }
+  }
+}
+
+// --- checkpoint format ------------------------------------------------------
+
+BaseStation::Config checkpoint_config() {
+  BaseStation::Config config;
+  config.window_samples = 4;
+  config.samples_per_packet = 2;
+  return config;
+}
+
+// A detector-less, small-geometry station (w = 4, packets of 2) holding one
+// unscored report and a residue with a merged two-packet gap-fill run and
+// peaks on both channels.
+BaseStation checkpoint_station() {
+  BaseStation station(checkpoint_config());
+  auto packet = [](ChannelKind kind, std::uint32_t seq,
+                   std::vector<std::size_t> peaks) {
+    Packet p;
+    p.kind = kind;
+    p.seq = seq;
+    const double base = kind == ChannelKind::kEcg ? 0.25 : 80.0;
+    p.samples = {base + seq, base + seq + 0.5};
+    p.peaks = std::move(peaks);
+    return p;
+  };
+  station.receive(packet(ChannelKind::kEcg, 0, {1}));
+  station.receive(packet(ChannelKind::kAbp, 0, {0}));
+  station.receive(packet(ChannelKind::kEcg, 1, {}));
+  station.receive(packet(ChannelKind::kAbp, 1, {1}));
+  station.receive(packet(ChannelKind::kEcg, 2, {0}));
+  station.receive(packet(ChannelKind::kEcg, 5, {1}));  // 3 and 4 gap-filled
+  station.receive(packet(ChannelKind::kAbp, 2, {1}));
+  return station;
+}
+
+std::vector<std::uint8_t> exported(const BaseStation& station) {
+  std::vector<std::uint8_t> bytes;
+  io::StateWriter w(bytes);
+  station.export_state(w);
+  return bytes;
+}
+
+std::string to_hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+// Existing checkpoints must keep loading, so these bytes must not move.
+constexpr const char* kCheckpointHex =
+    "0400000002000000100000000000000000000000001000000700000000000000"
+    "0000000000000000000000000000000000000000000000000200000000000000"
+    "0000000000000000010000000000000001000000000000000000000000000000"
+    "0100000000000000000000000800000000000000000006000000080000000000"
+    "0000000002400000000000000640000000000000064000000000000006400000"
+    "0000000006400000000000000640000000000000154000000000000017400800"
+    "0000000001010101000002000000000000000000000007000000000000000300"
+    "00000200000000000000008054400000000000a0544002000000000001000000"
+    "0100000000000000";
+
+TEST_F(WiotTest, CheckpointBytesArePinned) {
+  const BaseStation station = checkpoint_station();
+  ASSERT_EQ(station.stats().windows_classified, 1u);
+  ASSERT_EQ(station.stats().gaps_filled, 2u);
+  const auto bytes = exported(station);
+  EXPECT_EQ(to_hex(bytes), kCheckpointHex);
+
+  BaseStation restored(checkpoint_config());
+  io::StateReader r(bytes);
+  restored.import_state(r);
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(exported(restored), bytes) << "import then export is lossless";
+}
+
+TEST_F(WiotTest, ImportRejectsFlagCountThatDiffersFromSamples) {
+  auto bytes = exported(checkpoint_station());
+  // The ECG flag count follows the 24-byte geometry, 72 bytes of stats, the
+  // 4 + 18-byte report list, the ECG cursor and sample count (8 bytes) and
+  // its 8 samples: offset 190. Drop one flag byte and decrement the count,
+  // so the rest of the checkpoint still parses.
+  constexpr std::size_t kEcgFlags = 24 + 72 + 4 + 18 + 8 + 8 * 8;
+  ASSERT_EQ(bytes[kEcgFlags], 8u);
+  bytes[kEcgFlags] = 7;
+  bytes.erase(bytes.begin() + kEcgFlags + 4);
+
+  BaseStation restored(checkpoint_config());
+  io::StateReader r(bytes);
+  EXPECT_THROW(restored.import_state(r), std::runtime_error)
+      << "flags sheared against the samples must not load";
 }
 
 TEST_F(WiotTest, MalformedPacketsAreRejectedNotApplied) {
