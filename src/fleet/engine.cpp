@@ -202,9 +202,6 @@ SessionCursors FleetEngine::cursors_for_resume(int user_id) {
   SessionCursors cursors;  // {0, 0}: unknown user starts from the beginning
   table_.if_session(table_.shard_of(user_id), user_id, [&](Session& s) {
     cursors = s.cursors();
-    // The client will resend from the cursor; any overlap it chooses to
-    // include (its unacked tail) must shed quietly via the station dedupe
-    // rather than charge replay anomalies.
     s.arm_resume_grace();
   });
   return cursors;
@@ -516,19 +513,15 @@ void FleetEngine::process_one(WorkerState& self, Session& session,
     const std::uint32_t next =
         env.packet.kind == wiot::ChannelKind::kEcg ? cur.ecg : cur.abp;
     const std::uint32_t seq = env.packet.seq;
-    // A reconnecting client legitimately resends its unacked tail from
-    // behind the cursor; while the resume grace is armed those backward
-    // seqs fall through to the station dedupe instead of counting as
-    // replay anomalies. First forward-progress packet clears the grace.
-    const bool replayed = seq < next &&
-                          next - seq > config_.anti_replay.replay_window &&
-                          !session.resume_grace_active(env.packet.kind);
     const bool spoofed_forward = config_.station.max_seq_jump != 0 &&
                                  seq > next &&
                                  seq - next > config_.station.max_seq_jump;
-    if (seq >= next && !spoofed_forward) {
-      session.clear_resume_grace(env.packet.kind);
-    }
+    // Under the resume grace a reconnect's resent tail is not a replay.
+    const std::uint32_t window = config_.anti_replay.replay_window;
+    const bool resent =
+        !spoofed_forward &&
+        session.resume_exempts(env.packet.kind, seq, next, window);
+    const bool replayed = seq < next && next - seq > window && !resent;
     if (replayed || spoofed_forward) {
       ++health.seq_anomalies;
       seq_anomalies_->add();

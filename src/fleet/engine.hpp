@@ -251,10 +251,8 @@ class FleetEngine {
   SessionCursors restore_session(int user_id, io::StateReader& reader);
 
   /// The per-channel durable ingest cursors a reconnecting client should
-  /// resume from, arming the session's resume grace so the client's unacked
-  /// tail (seqs just behind the cursor) sheds via the station dedupe
-  /// instead of charging replay anomalies. Never creates a session: an
-  /// unknown user gets {0, 0} (start from the beginning). Thread-safe
+  /// resume from; arms the session's resume grace (Session::resume_exempts).
+  /// Never creates a session: an unknown user gets {0, 0}. Thread-safe
   /// (shard lock), callable from the network thread.
   SessionCursors cursors_for_resume(int user_id);
 

@@ -107,20 +107,31 @@ class Session {
   }
   const SessionCursors& cursors() const noexcept { return cursors_; }
 
-  /// Arms a per-channel resume grace: the next packets on each channel may
-  /// sit *behind* the cursor without counting as replay anomalies, because a
-  /// reconnecting client legitimately resends its unacked tail (the station
-  /// dedupe sheds the duplicates). Grace is runtime-only state — never
-  /// checkpointed — since a restart severs every connection and each
-  /// reconnect re-queries its cursors and re-arms.
-  void arm_resume_grace() noexcept { resume_grace_[0] = resume_grace_[1] = true; }
-  bool resume_grace_active(wiot::ChannelKind kind) const noexcept {
-    return resume_grace_[kind == wiot::ChannelKind::kEcg ? 0 : 1];
+  /// Resume grace, runtime-only (a restart severs every connection and each
+  /// reconnect re-arms): armed at the cursors handed to a reconnecting
+  /// client, whose resent overlap the station dedupe sheds.
+  void arm_resume_grace() noexcept {
+    resume_grace_[0] = {cursors_.ecg, true, false};
+    resume_grace_[1] = {cursors_.abp, true, false};
   }
-  /// Cleared on the first packet that makes forward progress on the channel
-  /// — from then on, backward seqs are anomalies again.
-  void clear_resume_grace(wiot::ChannelKind kind) noexcept {
-    resume_grace_[kind == wiot::ChannelKind::kEcg ? 0 : 1] = false;
+  /// Whether the grace exempts `seq` (cursor `next`) from the replay check;
+  /// call once per packet that may advance the cursor. A backward seq is a
+  /// resend while the cursor has not moved since the arm, or if it is at
+  /// most `window` below the handed-out cursor (the dead connection's
+  /// in-flight tail may move the cursor on first). Forward packets, maybe
+  /// that tail, keep the grace until a resend went behind; the next forward
+  /// packet means the resend caught up, and the grace ends.
+  bool resume_exempts(wiot::ChannelKind kind, std::uint32_t seq,
+                      std::uint32_t next, std::uint32_t window) noexcept {
+    ResumeGrace& g = resume_grace_[kind == wiot::ChannelKind::kEcg ? 0 : 1];
+    if (!g.armed) return false;
+    if (seq >= next) {
+      g.armed = !g.resending;
+      return false;
+    }
+    if (next != g.from && seq < g.from && g.from - seq > window) return false;
+    g.resending = true;
+    return true;
   }
 
   /// Serializes everything a restart needs to resume this session
@@ -193,7 +204,8 @@ class Session {
   core::DetectorVersion home_tier_;
   Health health_;
   SessionCursors cursors_;
-  bool resume_grace_[2] = {false, false};  ///< [ecg, abp]; runtime-only
+  struct ResumeGrace { std::uint32_t from; bool armed, resending; };
+  ResumeGrace resume_grace_[2] = {};  ///< [ecg, abp]
 };
 
 }  // namespace sift::fleet

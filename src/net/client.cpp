@@ -20,6 +20,10 @@ namespace {
 /// backpressure reaches the pacing loop quickly.
 constexpr std::size_t kAutoFlushBytes = 1u << 16;
 
+/// Capped exponential backoff between reconnect attempts.
+constexpr std::chrono::milliseconds kBackoffInitial{5};
+constexpr std::chrono::milliseconds kBackoffCap{500};
+
 }  // namespace
 
 Client::Client(const std::string& address, bool greet,
@@ -155,7 +159,7 @@ ResumeResult send_streams_resuming(
   // in-flight tail gets re-sent and shed server-side), occasionally a
   // fast-forward (another path already delivered further than we knew).
   std::vector<std::size_t> pos(sessions.size(), 0);
-  auto backoff = config.backoff_initial;
+  auto backoff = kBackoffInitial;
   const auto give_up = std::chrono::steady_clock::now() + config.give_up;
   std::uint64_t attempt = 0;
   while (!result.completed) {
@@ -185,7 +189,7 @@ ResumeResult send_streams_resuming(
           pos[s] = p;
         }
       }
-      backoff = config.backoff_initial;  // a working wire resets the clock
+      backoff = kBackoffInitial;  // a working wire resets the clock
       const auto t0 = std::chrono::steady_clock::now();
       bool more = true;
       for (std::size_t step = 0; more; ++step) {
@@ -237,7 +241,7 @@ ResumeResult send_streams_resuming(
       ++attempt;
       if (std::chrono::steady_clock::now() >= give_up) break;
       std::this_thread::sleep_for(backoff);
-      backoff = std::min(config.backoff_cap, backoff * 2);
+      backoff = std::min(kBackoffCap, backoff * 2);
     }
   }
   return result;

@@ -108,9 +108,6 @@ class Client {
 /// Reconnect-with-resume sender configuration (see send_streams_resuming).
 struct ResumeConfig {
   std::string address;
-  /// Capped exponential backoff between reconnect attempts.
-  std::chrono::milliseconds backoff_initial{5};
-  std::chrono::milliseconds backoff_cap{500};
   /// Total wall-clock budget across all attempts before giving up.
   std::chrono::milliseconds give_up{60000};
   /// Per-time-step pacing (steps/s; 0 = as fast as the wire accepts).
@@ -177,9 +174,9 @@ struct DriveResult {
 /// @throws std::runtime_error on connect failure.
 DriveResult drive_load(const DriveConfig& config);
 
-/// Same, over caller-provided per-session streams (streams.size() sessions;
-/// the bench reuses its fixture's streams so driver and in-process baseline
-/// share one synthesis cost).
+/// Same, over caller-provided per-session streams (streams.size() sessions):
+/// tests drive a fixture's streams so the wire run and its in-process golden
+/// share one synthesis.
 DriveResult drive_load(const DriveConfig& config,
                        const std::vector<std::vector<wiot::Packet>>& streams);
 

@@ -19,6 +19,12 @@ namespace {
 // events carry their slot index.
 constexpr std::uint64_t kListenTag = ~std::uint64_t{0};
 constexpr std::uint64_t kWakeTag = ~std::uint64_t{0} - 1;
+constexpr int kListenBacklog = 128;
+/// Per-frame payload bound on the listener (tighter than the io-layer
+/// kMaxFramePayload; a sensor packet is ~1.5 KB).
+constexpr std::size_t kMaxPayload = 1u << 16;
+/// Bytes handed to one read() call.
+constexpr std::size_t kReadChunk = 1u << 15;
 
 [[noreturn]] void throw_errno(const char* what) {
   throw std::runtime_error(std::string("net: ") + what + ": " +
@@ -29,11 +35,11 @@ constexpr std::uint64_t kWakeTag = ~std::uint64_t{0} - 1;
 
 NetServer::NetServer(fleet::FleetEngine& engine, NetServerConfig config)
     : engine_(engine), config_(std::move(config)) {
-  if (config_.max_connections == 0 || config_.read_chunk == 0) {
-    throw std::invalid_argument("net: max_connections and read_chunk > 0");
+  if (config_.max_connections == 0) {
+    throw std::invalid_argument("net: max_connections > 0");
   }
   const ParsedAddress parsed = parse_address(config_.listen);
-  listen_ = listen_on(parsed, config_.backlog);
+  listen_ = listen_on(parsed, kListenBacklog);
   set_nonblocking(listen_.get());
   // Re-read the bound address so tcp:...:0 reports its ephemeral port.
   address_ = parsed.is_unix ? to_string(parsed) : local_address(listen_.get());
@@ -57,7 +63,7 @@ NetServer::NetServer(fleet::FleetEngine& engine, NetServerConfig config)
   slots_.reserve(config_.max_connections);
   free_slots_.reserve(config_.max_connections);
   for (std::size_t i = 0; i < config_.max_connections; ++i) {
-    slots_.emplace_back(config_.max_frame_payload);
+    slots_.emplace_back(kMaxPayload);
     slots_[i].slot = i;
   }
   // Slots are handed out back-to-front; push in reverse so connection 0
@@ -65,7 +71,7 @@ NetServer::NetServer(fleet::FleetEngine& engine, NetServerConfig config)
   for (std::size_t i = config_.max_connections; i-- > 0;) {
     free_slots_.push_back(i);
   }
-  scratch_.resize(config_.read_chunk);
+  scratch_.resize(kReadChunk);
 
   auto& metrics = engine_.metrics();
   accepted_ = &metrics.counter("net.connections_accepted");
@@ -240,16 +246,14 @@ void NetServer::accept_ready() {
     // Enough for the largest frame plus one read chunk of trailing bytes:
     // a no-op after the slot's first connection, so steady-state accepts
     // and decodes allocate nothing.
-    conn.decoder.reserve(config_.max_frame_payload + io::kFrameHeaderBytes +
-                         config_.read_chunk);
+    conn.decoder.reserve(kMaxPayload + io::kFrameHeaderBytes + kReadChunk);
     conn.out.clear();
     conn.out_head = 0;
     conn.last_activity = std::chrono::steady_clock::now();
     conn.id = next_conn_id_++;
     conn.rx_offset = 0;
     conn.tx_offset = 0;
-    conn.tokens = config_.rate_limit_burst > 0 ? config_.rate_limit_burst
-                                               : config_.rate_limit_pps;
+    conn.tokens = config_.rate_limit_pps;
     conn.token_refill = conn.last_activity;
 
     epoll_event ev{};
@@ -466,10 +470,8 @@ bool NetServer::take_token(Connection& conn) {
   const double elapsed =
       std::chrono::duration<double>(now - conn.token_refill).count();
   conn.token_refill = now;
-  const double burst = config_.rate_limit_burst > 0 ? config_.rate_limit_burst
-                                                    : config_.rate_limit_pps;
-  conn.tokens =
-      std::min(burst, conn.tokens + elapsed * config_.rate_limit_pps);
+  conn.tokens = std::min(config_.rate_limit_pps,
+                         conn.tokens + elapsed * config_.rate_limit_pps);
   if (conn.tokens < 1.0) return false;
   conn.tokens -= 1.0;
   return true;

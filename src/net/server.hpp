@@ -53,12 +53,6 @@ struct NetServerConfig {
   /// unix:PATH or tcp:HOST:PORT (port 0 = ephemeral; see address()).
   std::string listen = "tcp:127.0.0.1:0";
   std::size_t max_connections = 256;
-  int backlog = 128;
-  /// Per-frame payload bound on this listener (tighter than the io-layer
-  /// kMaxFramePayload; a sensor packet is ~1.5 KB).
-  std::size_t max_frame_payload = 1u << 16;
-  /// Bytes handed to one read() call.
-  std::size_t read_chunk = 1u << 15;
   /// Idle connections are closed after this long without a byte (0 = never).
   std::chrono::milliseconds idle_timeout{0};
   /// Stalled connections — a parked would-block packet or an undrained
@@ -72,10 +66,8 @@ struct NetServerConfig {
   /// 0 = unlimited). An over-rate packet is dropped *after* decode — the
   /// frame stream stays synchronised — and charges one suspicion step
   /// against the wearer's session, so a flooding connection walks itself
-  /// into the anti-replay quarantine.
+  /// into the anti-replay quarantine. The bucket holds one second's worth.
   double rate_limit_pps = 0;
-  /// Bucket depth in packets (0 = rate_limit_pps, i.e. one second's worth).
-  double rate_limit_burst = 0;
   /// Connections accepted per listener wakeup before yielding back to the
   /// event loop (0 = unbounded). Bounds how long a connect flood can
   /// starve established sessions; the listener stays level-triggered, so

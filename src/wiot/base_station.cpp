@@ -9,6 +9,11 @@
 
 namespace sift::wiot {
 
+/// Spectral cross-check threshold. A 3 s window FFT resolves ~10.5 bpm per
+/// bin, but genuine channels share every beat and land in the *same* bin,
+/// so 1.5 bins of slack is already conservative.
+constexpr double kHrMismatchBpm = 15.0;
+
 BaseStation::Config BaseStation::validated(Config config) {
   if (config.window_samples == 0 || config.samples_per_packet == 0 ||
       config.window_samples % config.samples_per_packet != 0) {
@@ -168,7 +173,7 @@ void BaseStation::classify_ready_windows() {
       const double hr_abp = signal::spectral_heart_rate_bpm(signal::Series(
           rate, std::vector<double>(abp_win.begin(), abp_win.end())));
       if (hr_ecg > 0.0 && hr_abp > 0.0 &&
-          std::abs(hr_ecg - hr_abp) > config_.hr_mismatch_bpm) {
+          std::abs(hr_ecg - hr_abp) > kHrMismatchBpm) {
         report.hr_mismatch = true;
         report.altered = true;
       }

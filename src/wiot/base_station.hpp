@@ -36,10 +36,6 @@ class BaseStation {
     /// flag the window when they disagree — a hijacked ECG carrying a
     /// different pulse rate is suspicious before any portrait is built.
     bool spectral_cross_check = false;
-    /// Disagreement threshold. A 3 s window FFT resolves ~10.5 bpm per
-    /// bin, but genuine channels share every beat and land in the *same*
-    /// bin, so 1.5 bins of slack is already conservative.
-    double hr_mismatch_bpm = 15.0;
     /// Per-channel reassembly bound, in windows. Bounds station memory when
     /// one channel stalls (windows only complete when *both* streams have w
     /// samples, so the leading stream would otherwise grow without limit —

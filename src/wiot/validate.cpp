@@ -4,6 +4,9 @@
 
 namespace sift::wiot {
 
+constexpr double kMinRateHz = 1.0;
+constexpr double kMaxRateHz = 10000.0;
+
 const char* to_string(PacketFault f) noexcept {
   switch (f) {
     case PacketFault::kNone:
@@ -25,8 +28,8 @@ const char* to_string(PacketFault f) noexcept {
 PacketFault validate_packet(const Packet& packet,
                             const ValidationLimits& limits) noexcept {
   if (!std::isfinite(packet.sample_rate_hz) ||
-      packet.sample_rate_hz < limits.min_rate_hz ||
-      packet.sample_rate_hz > limits.max_rate_hz) {
+      packet.sample_rate_hz < kMinRateHz ||
+      packet.sample_rate_hz > kMaxRateHz) {
     return PacketFault::kBadRate;
   }
   if (packet.samples.empty() || packet.samples.size() > limits.max_samples ||

@@ -19,7 +19,7 @@ namespace sift::wiot {
 /// Why a packet was rejected (kNone = accepted).
 enum class PacketFault : std::uint8_t {
   kNone,
-  kBadRate,         ///< sample_rate_hz non-finite or outside limits
+  kBadRate,         ///< sample_rate_hz non-finite or outside [1 Hz, 10 kHz]
   kBadLength,       ///< empty, oversized, or != expected_samples
   kNonFiniteSample, ///< NaN or Inf payload sample
   kPeakOutOfRange,  ///< peak annotation beyond the payload
@@ -33,8 +33,6 @@ struct ValidationLimits {
   /// samples_per_packet); 0 accepts any length up to max_samples.
   std::size_t expected_samples = 0;
   std::size_t max_samples = 4096;
-  double min_rate_hz = 1.0;
-  double max_rate_hz = 10000.0;
   /// Sequence numbers at or above this read as corruption/wraparound skew:
   /// a genuine stream would take ~17 years at 2 packets/s to get here, but
   /// one flipped high bit gets here instantly — and would otherwise demand

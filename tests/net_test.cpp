@@ -627,7 +627,7 @@ TEST(NetServerTest, RateLimitedFloodWalksItselfIntoQuarantine) {
   // flooding wearer trips the same quarantine an attack would.
   NetServerConfig net_config;
   net_config.listen = unique_unix_address("rate");
-  net_config.rate_limit_pps = 1.0;  // burst defaults to one packet
+  net_config.rate_limit_pps = 1.0;  // the bucket holds one packet
   Harness h(base_config(), net_config);
 
   Client client(h.address());

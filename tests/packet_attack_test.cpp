@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "core/trainer.hpp"
@@ -244,6 +246,35 @@ class AntiReplayTest : public ::testing::Test {
                               r.replay_dropped);
   }
 
+  /// The clean stream's packets with lo <= seq < hi, both channels.
+  static std::vector<wiot::Packet> seq_in(std::uint32_t lo, std::uint32_t hi) {
+    std::vector<wiot::Packet> out;
+    for (const auto& p : *clean_) {
+      if (p.seq >= lo && p.seq < hi) out.push_back(p);
+    }
+    return out;
+  }
+
+  /// Feeds user 0 and waits until the worker has delivered every packet, so
+  /// a following cursors_for_resume reads exact cursors. False on timeout.
+  static bool feed_and_settle(FleetEngine& engine,
+                              const std::vector<wiot::Packet>& packets) {
+    for (const auto& p : packets) engine.ingest(0, p);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (std::uint64_t received = 0; received < packets.size();) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
+      engine.sessions().for_each([&](int, const Session& s) {
+        received = s.stats().packets_received;
+      });
+    }
+    return true;
+  }
+
+  /// Where the resume tests hand out cursors: past the replay window.
+  static constexpr std::uint32_t kResumeAt = 20;
+
   static std::shared_ptr<const core::UserModel> model_;
   static std::vector<wiot::Packet>* clean_;
   static std::vector<wiot::Packet>* tail_;
@@ -378,6 +409,67 @@ TEST_F(AntiReplayTest, StaleCursorResumeSplitsAcrossWindowAndDedupe) {
   EXPECT_EQ(hit.seq_anomalies, hit.replay_dropped);
   expect_conservation(hit);
   EXPECT_EQ(hit.windows, baseline.windows);
+}
+
+TEST_F(AntiReplayTest, ResendFromHandedOutCursorSurvivesStaleInFlightTail) {
+  // A reconnect races the dead connection's tail: the cursor is handed out
+  // while that tail still sits in the worker's ring, the tail then moves
+  // the cursor more than replay_window past it, and only then does the
+  // client resend from the cursor it was given. The resend is a benign
+  // overlap — the station dedupe sheds it and nothing is charged.
+  constexpr std::uint32_t kStaleTail = 22;  // seqs past the cursor in flight
+  FleetConfig config = base_config();
+  config.workers = 1;
+  ASSERT_GT(kStaleTail, config.anti_replay.replay_window);
+
+  FleetEngine engine(provider(), config);
+  ASSERT_TRUE(feed_and_settle(engine, seq_in(0, kResumeAt)));
+  const SessionCursors resumed = engine.cursors_for_resume(0);
+  ASSERT_EQ(resumed.ecg, kResumeAt);
+  ASSERT_EQ(resumed.abp, kResumeAt);
+
+  const auto stale = seq_in(kResumeAt, kResumeAt + kStaleTail);
+  for (const auto& p : stale) engine.ingest(0, p);
+  for (const auto& p : seq_in(kResumeAt, ~0u)) engine.ingest(0, p);
+  // Once the resend has caught up the grace is over: replays on either
+  // channel are charged again, including one at the handed-out cursor.
+  for (const auto& p : seq_in(0, 1)) engine.ingest(0, p);
+  for (const auto& p : seq_in(kResumeAt, kResumeAt + 1)) engine.ingest(0, p);
+  engine.drain();
+
+  auto& m = engine.metrics();
+  EXPECT_EQ(m.counter("fleet.seq_anomalies").value(), 4u);
+  EXPECT_EQ(m.counter("fleet.replay_dropped").value(), 4u);
+  wiot::BaseStation::Stats station;
+  engine.sessions().for_each(
+      [&](int, const Session& s) { station = s.stats(); });
+  EXPECT_EQ(station.duplicates_ignored, stale.size());
+  EXPECT_EQ(m.counter("fleet.windows_classified").value(),
+            run(config, *clean_).windows);
+}
+
+TEST_F(AntiReplayTest, ReplayOlderThanHandedOutCursorIsChargedAfterCleanResume) {
+  // A clean reconnect resends from the handed-out cursor with no overlap,
+  // so the grace never sees a resend go behind the cursor. A later replay
+  // older than that cursor by more than replay_window is still charged.
+  FleetConfig config = base_config();
+  config.workers = 1;
+  ASSERT_GT(kResumeAt, config.anti_replay.replay_window);
+
+  FleetEngine engine(provider(), config);
+  ASSERT_TRUE(feed_and_settle(engine, seq_in(0, kResumeAt)));
+  const SessionCursors resumed = engine.cursors_for_resume(0);
+  ASSERT_EQ(resumed.ecg, kResumeAt);
+  ASSERT_EQ(resumed.abp, kResumeAt);
+  for (const auto& p : seq_in(kResumeAt, ~0u)) engine.ingest(0, p);
+  for (const auto& p : seq_in(0, 1)) engine.ingest(0, p);
+  engine.drain();
+
+  auto& m = engine.metrics();
+  EXPECT_EQ(m.counter("fleet.seq_anomalies").value(), 2u);
+  EXPECT_EQ(m.counter("fleet.replay_dropped").value(), 2u);
+  EXPECT_EQ(m.counter("fleet.windows_classified").value(),
+            run(config, *clean_).windows);
 }
 
 TEST_F(AntiReplayTest, SustainedReplayQuarantinesAndProbeRecovers) {
