@@ -290,6 +290,7 @@ RecoveryResult Durability::recover_into(FleetEngine& engine) {
       loaded = true;
       break;
     }
+    if (std::filesystem::exists(dir_ + name)) ++out.checkpoints_refused;
   }
   if (!loaded) return out;  // cold start: journal dedupe still applies
 

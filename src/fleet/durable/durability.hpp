@@ -68,6 +68,9 @@ struct DurabilityConfig {
 /// What recovery found and restored.
 struct RecoveryResult {
   bool checkpoint_loaded = false;
+  /// Generation files present but not loadable: torn, corrupt, or taken
+  /// under another station geometry (BaseStation::import_state's guard).
+  std::size_t checkpoints_refused = 0;
   std::size_t sessions_restored = 0;
   std::uint64_t frames_replayed = 0;        ///< journal frames read back
   std::uint64_t frames_discarded_torn = 0;  ///< torn tails truncated

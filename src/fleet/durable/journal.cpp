@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "fleet/thread_name.hpp"
 #include "io/framed.hpp"
 
 namespace sift::fleet::durable {
@@ -83,7 +84,10 @@ Journal::Journal(std::string path, JournalConfig config)
   payload_scratch_.reserve(kVerdictRecordBytes * 2);
   batch_scratch_.reserve(config_.buffer_records *
                          (kVerdictRecordBytes + io::kFrameHeaderBytes));
-  flusher_ = std::thread([this] { flusher_loop(); });
+  flusher_ = std::thread([this] {
+    name_this_thread("sift-journal");
+    flusher_loop();
+  });
 }
 
 Journal::~Journal() {

@@ -1,11 +1,13 @@
 #include "fleet/engine.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "core/features.hpp"
 #include "fleet/durable/durability.hpp"
 #include "fleet/faults.hpp"
+#include "fleet/thread_name.hpp"
 #include "io/state.hpp"
 
 #if defined(__linux__)
@@ -26,7 +28,17 @@ std::size_t resolve_workers(std::size_t requested) {
   return std::min(requested, hw);
 }
 
-FleetConfig resolve_validation(FleetConfig config) {
+FleetConfig resolve_config(FleetConfig config) {
+  // process_one journals the windows one receive() completed by reading
+  // them back from the report history, and one receive() completes up to
+  // max_buffered_windows windows; a shorter history would lose some.
+  const wiot::BaseStation::Config& station = config.station;
+  if (station.max_report_history > 0 &&
+      station.max_report_history < station.max_buffered_windows) {
+    throw std::invalid_argument(
+        "FleetEngine: station.max_report_history must be 0 or at least "
+        "station.max_buffered_windows");
+  }
   if (config.validation.expected_samples == 0) {
     config.validation.expected_samples = config.station.samples_per_packet;
   }
@@ -87,7 +99,7 @@ void pin_thread_to_core(std::size_t core) {
 }  // namespace
 
 FleetEngine::FleetEngine(ModelProvider provider, FleetConfig config)
-    : config_(resolve_validation(config)),
+    : config_(resolve_config(config)),
       registry_(std::move(provider), config.model_cache_capacity,
                 config.breaker),
       table_(config.shards, registry_, config.station) {
@@ -95,7 +107,7 @@ FleetEngine::FleetEngine(ModelProvider provider, FleetConfig config)
 }
 
 FleetEngine::FleetEngine(TieredModelProvider provider, FleetConfig config)
-    : config_(resolve_validation(config)),
+    : config_(resolve_config(config)),
       registry_(std::move(provider), config.model_cache_capacity,
                 config.breaker),
       table_(config.shards, registry_, config.station) {
@@ -152,6 +164,7 @@ void FleetEngine::resolve_instruments() {
   threads_.reserve(n_workers);
   for (std::size_t w = 0; w < n_workers; ++w) {
     threads_.emplace_back([this, state = worker_states_[w].get()] {
+      name_this_thread("sift-worker-" + std::to_string(state->index));
       if (config_.pin_cores) pin_thread_to_core(state->index);
       worker_loop(*state);
     });

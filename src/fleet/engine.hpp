@@ -179,8 +179,10 @@ class FleetEngine {
   static constexpr std::size_t kDrainChunk = 16;
 
   /// Workers start immediately. @throws std::invalid_argument on zero
-  /// shards/queue capacity (via the members) — workers=0 resolves to one
-  /// per available core, explicit counts are clamped to the core count.
+  /// shards/queue capacity (via the members) or on a station report
+  /// history shorter than its buffer bound (0 < station.max_report_history
+  /// < station.max_buffered_windows) — workers=0 resolves to one per
+  /// available core, explicit counts are clamped to the core count.
   /// The tiered overload enables the load-shed degradation ladder.
   FleetEngine(ModelProvider provider, FleetConfig config);
   FleetEngine(TieredModelProvider provider, FleetConfig config);

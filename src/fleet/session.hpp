@@ -7,10 +7,11 @@
 // reassembly buffers are bounded (BaseStation::Config::max_buffered_windows)
 // but sized by what they hold: about one window per channel when the two
 // streams arrive interleaved.
-// Each session also owns (through its station) a core::WindowScratch arena,
-// so steady-state classification in the worker loop allocates nothing —
-// set Config::max_report_history to bound report retention and make the
-// guarantee hold over unbounded session lifetimes.
+// Its station classifies through the worker thread's
+// core::thread_scratch(), one arena per worker however many sessions it
+// owns, so steady-state classification in the worker loop allocates
+// nothing — set Config::max_report_history to bound report retention and
+// make the guarantee hold over unbounded session lifetimes.
 //
 // A session can exist *without* a model (provider failing behind the
 // registry's circuit breaker): the station then emits unscored verdicts

@@ -11,6 +11,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "fleet/thread_name.hpp"
+
 namespace sift::net {
 
 namespace {
@@ -104,7 +106,10 @@ NetServer::NetServer(fleet::FleetEngine& engine, NetServerConfig config)
 NetServer::~NetServer() { stop(); }
 
 void NetServer::start() {
-  thread_ = std::jthread([this] { loop(); });
+  thread_ = std::jthread([this] {
+    fleet::name_this_thread("sift-net");
+    loop();
+  });
 }
 
 void NetServer::loop() {

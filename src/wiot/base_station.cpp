@@ -4,6 +4,7 @@
 #include <span>
 #include <stdexcept>
 
+#include "core/window_scratch.hpp"
 #include "io/state.hpp"
 #include "signal/fft.hpp"
 
@@ -141,18 +142,20 @@ void BaseStation::classify_ready_windows() {
       in.ecg = ecg_win;
       in.abp = abp_win;
 
-      scratch_.clear();
+      // The thread's arena: every stage below rebuilds it for this window.
+      core::WindowScratch& scratch = core::thread_scratch();
+      scratch.clear();
       for (std::size_t p : ecg_.peaks) {
-        if (p < w) scratch_.r_peaks.push_back(p);
+        if (p < w) scratch.r_peaks.push_back(p);
       }
       for (std::size_t p : abp_.peaks) {
-        if (p < w) scratch_.sys_peaks.push_back(p);
+        if (p < w) scratch.sys_peaks.push_back(p);
       }
-      in.r_peaks = scratch_.r_peaks;
-      in.sys_peaks = scratch_.sys_peaks;
+      in.r_peaks = scratch.r_peaks;
+      in.sys_peaks = scratch.sys_peaks;
       in.sample_rate_hz = physio::kDefaultRateHz;
 
-      const core::DetectionResult verdict = detector_->classify(in, scratch_);
+      const core::DetectionResult verdict = detector_->classify(in, scratch);
       report.altered = verdict.altered;
       report.decision_value = verdict.decision_value;
       report.tier = detector_->version();

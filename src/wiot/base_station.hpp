@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/detector.hpp"
-#include "core/window_scratch.hpp"
 #include "wiot/packet.hpp"
 
 namespace sift::io {
@@ -48,9 +47,13 @@ class BaseStation {
     std::size_t max_buffered_windows = 16;
     /// Report retention. 0 keeps every WindowReport (historical behaviour;
     /// the vector's amortised growth is then the one remaining steady-state
-    /// allocation). When set, only the most recent N reports are kept and
-    /// the report buffer reaches a fixed capacity — required for the
-    /// zero-allocation-per-window guarantee on long-running sessions.
+    /// allocation, and a long-lived station's memory and checkpoint grow
+    /// with its uptime). When set, only the most recent N reports are kept
+    /// and the report buffer reaches a fixed capacity — required for the
+    /// zero-allocation-per-window guarantee on long-running sessions. A
+    /// fleet::FleetEngine requires 0 or at least max_buffered_windows: one
+    /// receive() completes at most that many windows, and the engine
+    /// journals them from this history.
     std::size_t max_report_history = 0;
     /// Largest tolerated forward sequence jump, in packets. A corrupted
     /// sequence number (bit flip, wraparound skew) would otherwise demand
@@ -175,11 +178,11 @@ class BaseStation {
   Stream abp_;
   std::vector<WindowReport> reports_;
   Stats stats_;
-  // Scratch reused across packets/windows to avoid steady-state allocation.
-  // With max_report_history set, a station's receive -> classify path
-  // performs zero heap allocations per window once warm (spectral
-  // cross-check, off by default, is outside that envelope).
-  core::WindowScratch scratch_;
+  // Windows are classified through the calling thread's
+  // core::thread_scratch(). With max_report_history set, a station's
+  // receive -> classify path performs zero heap allocations per window
+  // once that arena is warm (spectral cross-check, off by default, is
+  // outside that envelope).
 };
 
 }  // namespace sift::wiot

@@ -695,6 +695,21 @@ TEST_F(FleetEngineTest, ZeroQueueCapacityIsRejected) {
                std::invalid_argument);
 }
 
+// One gap-filled receive() can complete up to max_buffered_windows windows,
+// and the engine journals them by reading them back from the report
+// history: a shorter history would silently drop verdicts.
+TEST_F(FleetEngineTest, ReportHistoryShorterThanBufferBoundIsRejected) {
+  FleetConfig config;
+  config.workers = 1;
+  config.station.max_report_history = 2;
+  EXPECT_THROW(FleetEngine(fixture_->provider(), config),
+               std::invalid_argument);
+  for (const std::size_t ok : {std::size_t{0}, std::size_t{16}}) {
+    config.station.max_report_history = ok;
+    EXPECT_NO_THROW(FleetEngine(fixture_->provider(), config)) << ok;
+  }
+}
+
 TEST_F(FleetEngineTest, SessionsPinToOneWorkerForTheEngineLifetime) {
   FleetConfig config;
   config.workers = 0;
@@ -829,6 +844,38 @@ TEST(SessionMemory, StationHoldsOneWindowPerChannel) {
   EXPECT_EQ(stations.back().stats().windows_classified,
             rec.ecg.size() / config.window_samples);
   EXPECT_EQ(stations.back().stats().overflow_dropped, 0u);
+}
+
+// A scoring station costs no more than a bare one: it classifies through
+// its thread's arena (core::thread_scratch), so the ~27 KB of portrait,
+// count matrix and peak buffers is paid once per thread, not per station.
+TEST(SessionMemory, ScoredStationHoldsNoArena) {
+  const auto cohort = physio::synthetic_cohort(3, 7);
+  const auto training = physio::generate_cohort_records(cohort, 60.0);
+  const auto model =
+      std::make_shared<const core::UserModel>(core::train_user_model(
+          training[0], std::span(training).subspan(1), core::SiftConfig{}));
+  const auto rec =
+      physio::generate_record(cohort[0], 60.0, physio::kDefaultRateHz, 2);
+  wiot::BaseStation::Config config;
+  config.max_report_history = 16;
+  const auto packets = packetize(rec, config.samples_per_packet, 0);
+
+  constexpr std::size_t kStations = 64;
+  std::vector<wiot::BaseStation> stations;
+  stations.reserve(kStations);
+  const std::size_t before = heap_in_use();
+  for (std::size_t i = 0; i < kStations; ++i) {
+    wiot::BaseStation& station =
+        stations.emplace_back(core::Detector(model), config);
+    for (const auto& p : packets) station.receive(p);
+  }
+  const double per_station_kb =
+      static_cast<double>(heap_in_use() - before) / kStations / 1024.0;
+  EXPECT_LE(per_station_kb, 24.0);
+  EXPECT_EQ(stations.back().stats().windows_classified,
+            rec.ecg.size() / config.window_samples);
+  EXPECT_EQ(stations.back().stats().unscored_windows, 0u);
 }
 
 // The LRU registry under engine traffic: 64 users share 3 artefacts, so a

@@ -15,10 +15,12 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -753,6 +755,54 @@ TEST(NetServerTest, GracefulStopFlushesEveryDecodedFrame) {
       expect_record_eq(records[i], golden_records[i], user, i);
     }
   }
+}
+
+/// Every thread name of this process, from /proc/self/task/*/comm.
+std::multiset<std::string> thread_names() {
+  std::multiset<std::string> names;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name)) names.insert(name);
+  }
+  return names;
+}
+
+// The gateway's threads are named, so `top -H` and /proc/<pid>/task/*/comm
+// show which one spends the CPU: the event loop, each worker and each
+// journal segment's flusher.
+TEST(NetServerTest, GatewayThreadsAreNamed) {
+  ScopedDir dir("names");
+  fleet::durable::DurabilityConfig durable_config;
+  durable_config.journal.fsync_on_flush = false;
+  fleet::durable::Durability durability(dir.path, durable_config);
+  Harness h(base_config(), {}, &durability);
+  h.server->start();
+  const std::size_t workers = h.engine->workers();
+  ASSERT_GE(workers, 1u);
+  ASSERT_EQ(durability.segment_count(), workers);
+
+  // Each thread names itself once it runs, so wait for the last of them.
+  const auto all_named = [&](const std::multiset<std::string>& names) {
+    if (names.count("sift-net") != 1) return false;
+    if (names.count("sift-journal") != workers) return false;
+    for (std::size_t w = 0; w < workers; ++w) {
+      if (names.count("sift-worker-" + std::to_string(w)) != 1) return false;
+    }
+    return true;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::multiset<std::string> names = thread_names();
+  while (!all_named(names) && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    names = thread_names();
+  }
+  std::string seen;
+  for (const auto& name : names) seen += name + " ";
+  EXPECT_TRUE(all_named(names)) << "threads: " << seen;
+  h.server->stop();
 }
 
 TEST(NetServerTest, SteadyStateIngestPathIsAllocationFree) {

@@ -487,6 +487,7 @@ TEST_F(RecoveryTest, CorruptCheckpointFallsBackToPreviousGeneration) {
   const durable::RecoveryResult recovered = durability.recover_into(engine);
   EXPECT_TRUE(recovered.checkpoint_loaded)
       << "checkpoint.prev must still be usable";
+  EXPECT_EQ(recovered.checkpoints_refused, 1u) << "the flipped checkpoint.bin";
   EXPECT_GT(recovered.sessions_restored, 0u);
   replay_resume(engine, *fixture_, recovered.cursors, &injector);
   durability.flush();
@@ -496,6 +497,39 @@ TEST_F(RecoveryTest, CorruptCheckpointFallsBackToPreviousGeneration) {
   got.rejects = collect_rejects(engine);
   got.journal = journal_by_user(dir.path);
   expect_matches_control(got, want, "rotation fallback");
+}
+
+// A checkpoint taken under another station geometry is refused, never
+// sheared into differently shaped stations, and the refusal is counted.
+// The report history is part of that geometry: checkpoints of a `siftctl
+// serve` that kept every report do not load into one that keeps 16.
+TEST_F(RecoveryTest, CheckpointOfAnotherGeometryIsRefusedAndCounted) {
+  ScopedDir dir("geometry");
+  {
+    FaultInjector injector(fault_config());
+    durable::Durability durability(dir.path);
+    FleetConfig config = engine_config();
+    config.durability = &durability;
+    FleetEngine engine(fixture_->provider(), config);
+    feed_steps(engine, injector, &durability, 0,
+               fixture_->session_packets(0).size(), /*checkpoint_every=*/5);
+    engine.drain();
+    durability.checkpoint(engine);
+    durability.flush();
+  }
+  ASSERT_TRUE(std::filesystem::exists(dir.path + "/checkpoint.prev"));
+
+  durable::Durability durability(dir.path);
+  FleetConfig config = engine_config();
+  config.station.max_report_history = config.station.max_buffered_windows;
+  config.durability = &durability;
+  FleetEngine engine(fixture_->provider(), config);
+  const durable::RecoveryResult recovered = durability.recover_into(engine);
+  EXPECT_FALSE(recovered.checkpoint_loaded);
+  EXPECT_EQ(recovered.sessions_restored, 0u);
+  EXPECT_EQ(recovered.checkpoints_refused, 2u)
+      << "checkpoint.bin and checkpoint.prev";
+  EXPECT_GT(recovered.frames_replayed, 0u) << "the journal still dedupes";
 }
 
 // Journal unit property: a torn tail (partial write at the moment of death)

@@ -2,6 +2,7 @@
 // station's stream alignment, the sink, and the end-to-end scenario.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include <random>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attack/attack.hpp"
@@ -399,6 +401,70 @@ TEST_F(WiotTest, ReportsAreInvariantToArrivalSkew) {
           << "lag " << k << ", window " << i;
       EXPECT_EQ(skewed[i].degraded, interleaved[i].degraded);
       EXPECT_EQ(skewed[i].altered, interleaved[i].altered);
+    }
+  }
+}
+
+// --- classification arena ---------------------------------------------------
+
+// Stations classify through their thread's arena (core::thread_scratch),
+// which every stage rebuilds for each window. Windows of stations with two
+// window geometries, interleaved on one thread, must therefore score
+// exactly as each station does alone on a fresh thread with a fresh arena.
+class ThreadArena : public WiotTest {};
+
+TEST_F(ThreadArena, ReportsMatchFreshArena) {
+  struct Feed {
+    BaseStation::Config config;
+    std::vector<Packet> packets;  ///< ECG and ABP alternating
+  };
+  std::vector<Feed> feeds;
+  for (std::size_t i = 0; i < testing_->size(); ++i) {
+    Feed feed{{i % 2 == 0 ? 1080u : 1440u, 180}, {}};
+    SensorNode ecg(ChannelKind::kEcg, (*testing_)[i], 180);
+    SensorNode abp(ChannelKind::kAbp, (*testing_)[i], 180);
+    while (auto pe = ecg.poll()) {
+      feed.packets.push_back(*pe);
+      if (auto pa = abp.poll()) feed.packets.push_back(*pa);
+    }
+    feeds.push_back(std::move(feed));
+  }
+
+  std::vector<std::vector<BaseStation::WindowReport>> alone;
+  for (const Feed& feed : feeds) {
+    std::thread fresh([&] {
+      BaseStation station(core::Detector(*model_), feed.config);
+      for (const Packet& p : feed.packets) station.receive(p);
+      alone.push_back(station.reports());
+    });
+    fresh.join();
+  }
+
+  std::vector<BaseStation> shared;
+  for (const Feed& feed : feeds) {
+    shared.emplace_back(core::Detector(*model_), feed.config);
+  }
+  std::size_t longest = 0;
+  for (const Feed& feed : feeds) {
+    longest = std::max(longest, feed.packets.size());
+  }
+  for (std::size_t k = 0; k < longest; ++k) {
+    for (std::size_t s = 0; s < feeds.size(); ++s) {
+      if (k < feeds[s].packets.size()) shared[s].receive(feeds[s].packets[k]);
+    }
+  }
+
+  for (std::size_t s = 0; s < feeds.size(); ++s) {
+    const auto& got = shared[s].reports();
+    ASSERT_EQ(got.size(), alone[s].size()) << "station " << s;
+    ASSERT_GE(got.size(), 10u) << "station " << s;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].window_index, alone[s][i].window_index);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].decision_value),
+                std::bit_cast<std::uint64_t>(alone[s][i].decision_value))
+          << "station " << s << ", window " << i;
+      EXPECT_EQ(got[i].altered, alone[s][i].altered);
+      EXPECT_EQ(got[i].tier, alone[s][i].tier);
     }
   }
 }

@@ -62,6 +62,7 @@
 #include "fleet/engine.hpp"
 #include "fleet/faults.hpp"
 #include "fleet/replay.hpp"
+#include "fleet/thread_name.hpp"
 #include "io/csv.hpp"
 #include "io/model_file.hpp"
 #include "net/client.hpp"
@@ -597,6 +598,14 @@ struct EngineArgs {
   std::string model_store_dir;
   bool recover = false;
 
+  /// Report history bounded to the most one receive() can complete, the
+  /// least the engine accepts (it reads back only the reports a receive()
+  /// just completed), so a long-running gateway's memory and checkpoints
+  /// stay flat over its uptime.
+  EngineArgs() {
+    config.station.max_report_history = config.station.max_buffered_windows;
+  }
+
   /// Consumes args[i] (and its value, advancing @p i) when it is a shared
   /// flag. Returns false otherwise, including for a shared flag whose
   /// value is missing. @throws std::invalid_argument on an unknown policy.
@@ -701,6 +710,7 @@ std::jthread start_checkpointer(fleet::durable::Durability* durability,
   const auto interval =
       std::chrono::milliseconds(std::max<std::size_t>(1, interval_ms));
   return std::jthread([durability, &engine, interval](std::stop_token stop) {
+    fleet::name_this_thread("sift-ckpt");
     while (!stop.stop_requested()) {
       std::this_thread::sleep_for(interval);
       if (stop.stop_requested()) break;
@@ -810,10 +820,11 @@ int cmd_fleet(std::span<const std::string> args) {
     recovered = durability->recover_into(engine);
     std::fprintf(stderr,
                  "fleet: recovered %zu session(s) from %s "
-                 "(checkpoint %s, %llu journal frame(s), %llu torn "
-                 "tail(s) truncated)\n",
+                 "(checkpoint %s, %zu refused, %llu journal frame(s), %llu "
+                 "torn tail(s) truncated)\n",
                  recovered.sessions_restored, shared.checkpoint_dir.c_str(),
                  recovered.checkpoint_loaded ? "loaded" : "absent",
+                 recovered.checkpoints_refused,
                  static_cast<unsigned long long>(recovered.frames_replayed),
                  static_cast<unsigned long long>(
                      recovered.frames_discarded_torn));
@@ -974,10 +985,11 @@ int cmd_serve(std::span<const std::string> args) {
   if (shared.recover) {
     const auto recovered = durability->recover_into(engine);
     std::fprintf(stderr,
-                 "serve: recovered %zu session(s) (checkpoint %s, %llu "
-                 "journal frame(s))\n",
+                 "serve: recovered %zu session(s) (checkpoint %s, %zu "
+                 "refused, %llu journal frame(s))\n",
                  recovered.sessions_restored,
                  recovered.checkpoint_loaded ? "loaded" : "absent",
+                 recovered.checkpoints_refused,
                  static_cast<unsigned long long>(recovered.frames_replayed));
   }
 
