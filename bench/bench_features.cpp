@@ -90,18 +90,25 @@ BENCHMARK(BM_FullWindowClassificationPath)->DenseRange(0, 2);
 
 // --- SIMD kernel layer ------------------------------------------------------
 //
-// Per-kernel cost at every dispatch level the host can run, bypassing the
-// active-table indirection so the numbers isolate the kernel itself. With
-// items = elements, google-benchmark's items_per_second column reads as
-// elements/sec — invert for ns/element. Levels the host lacks are skipped
-// (the dispatch table would silently degrade them to scalar, which would
-// bench the wrong code).
+// Per-kernel cost at every dispatch level the build registers, bypassing
+// the active-table indirection so the numbers isolate the kernel itself.
+// With items = elements, google-benchmark's items_per_second column reads
+// as elements/sec — invert for ns/element.
 
-bool level_available(simd::Level level) {
-  for (const auto l : simd::available_levels()) {
-    if (l == level) return true;
+/// One sweep argument per registered level: an unregistered one would be
+/// quietly mapped to the scalar table and bench the wrong code.
+void registered_levels(benchmark::internal::Benchmark* b) {
+  b->ArgName("level");
+  for (const auto level : simd::available_levels()) {
+    b->Arg(static_cast<std::int64_t>(level));
   }
-  return false;
+}
+
+/// The kernel table a sweep point runs, labelled with its level name.
+const simd::Kernels& sweep_kernels(benchmark::State& state) {
+  const auto level = static_cast<simd::Level>(state.range(0));
+  state.SetLabel(simd::to_string(level));
+  return simd::kernels(level);
 }
 
 /// One window's worth of realistic samples (ECG channel, padded by tiling)
@@ -115,17 +122,8 @@ std::vector<double> kernel_input(std::size_t n) {
 
 constexpr std::int64_t kKernelN = 4096;
 
-#define SIFT_SKIP_IF_UNAVAILABLE(state, level)                       \
-  if (!level_available(level)) {                                     \
-    (state).SkipWithError("level unavailable on this host");         \
-    return;                                                          \
-  }                                                                  \
-  (state).SetLabel(sift::simd::to_string(level))
-
 void BM_SimdDot(benchmark::State& state) {
-  const auto level = static_cast<simd::Level>(state.range(0));
-  SIFT_SKIP_IF_UNAVAILABLE(state, level);
-  const auto& k = simd::kernels(level);
+  const auto& k = sweep_kernels(state);
   const auto xs = kernel_input(kKernelN);
   const auto ys = kernel_input(kKernelN);
   for (auto _ : state) {
@@ -133,12 +131,10 @@ void BM_SimdDot(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kKernelN);
 }
-BENCHMARK(BM_SimdDot)->ArgName("level")->DenseRange(0, 3);
+BENCHMARK(BM_SimdDot)->Apply(registered_levels);
 
 void BM_SimdAxpy(benchmark::State& state) {
-  const auto level = static_cast<simd::Level>(state.range(0));
-  SIFT_SKIP_IF_UNAVAILABLE(state, level);
-  const auto& k = simd::kernels(level);
+  const auto& k = sweep_kernels(state);
   const auto xs = kernel_input(kKernelN);
   std::vector<double> ys = kernel_input(kKernelN);
   for (auto _ : state) {
@@ -147,36 +143,30 @@ void BM_SimdAxpy(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kKernelN);
 }
-BENCHMARK(BM_SimdAxpy)->ArgName("level")->DenseRange(0, 3);
+BENCHMARK(BM_SimdAxpy)->Apply(registered_levels);
 
 void BM_SimdMinMax(benchmark::State& state) {
-  const auto level = static_cast<simd::Level>(state.range(0));
-  SIFT_SKIP_IF_UNAVAILABLE(state, level);
-  const auto& k = simd::kernels(level);
+  const auto& k = sweep_kernels(state);
   const auto xs = kernel_input(kKernelN);
   for (auto _ : state) {
     benchmark::DoNotOptimize(k.min_max(xs.data(), xs.size()));
   }
   state.SetItemsProcessed(state.iterations() * kKernelN);
 }
-BENCHMARK(BM_SimdMinMax)->ArgName("level")->DenseRange(0, 3);
+BENCHMARK(BM_SimdMinMax)->Apply(registered_levels);
 
 void BM_SimdMeanVar(benchmark::State& state) {
-  const auto level = static_cast<simd::Level>(state.range(0));
-  SIFT_SKIP_IF_UNAVAILABLE(state, level);
-  const auto& k = simd::kernels(level);
+  const auto& k = sweep_kernels(state);
   const auto xs = kernel_input(kKernelN);
   for (auto _ : state) {
     benchmark::DoNotOptimize(k.mean_var(xs.data(), xs.size()));
   }
   state.SetItemsProcessed(state.iterations() * kKernelN);
 }
-BENCHMARK(BM_SimdMeanVar)->ArgName("level")->DenseRange(0, 3);
+BENCHMARK(BM_SimdMeanVar)->Apply(registered_levels);
 
 void BM_SimdNormalize01(benchmark::State& state) {
-  const auto level = static_cast<simd::Level>(state.range(0));
-  SIFT_SKIP_IF_UNAVAILABLE(state, level);
-  const auto& k = simd::kernels(level);
+  const auto& k = sweep_kernels(state);
   const auto xs = kernel_input(kKernelN);
   std::vector<double> out(xs.size());
   const auto mm = simd::min_max(xs);
@@ -186,12 +176,10 @@ void BM_SimdNormalize01(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kKernelN);
 }
-BENCHMARK(BM_SimdNormalize01)->ArgName("level")->DenseRange(0, 3);
+BENCHMARK(BM_SimdNormalize01)->Apply(registered_levels);
 
 void BM_SimdFivePointDerivative(benchmark::State& state) {
-  const auto level = static_cast<simd::Level>(state.range(0));
-  SIFT_SKIP_IF_UNAVAILABLE(state, level);
-  const auto& k = simd::kernels(level);
+  const auto& k = sweep_kernels(state);
   const auto xs = kernel_input(kKernelN);
   std::vector<double> out(xs.size());
   for (auto _ : state) {
@@ -200,12 +188,10 @@ void BM_SimdFivePointDerivative(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kKernelN);
 }
-BENCHMARK(BM_SimdFivePointDerivative)->ArgName("level")->DenseRange(0, 3);
+BENCHMARK(BM_SimdFivePointDerivative)->Apply(registered_levels);
 
 void BM_SimdHist2d(benchmark::State& state) {
-  const auto level = static_cast<simd::Level>(state.range(0));
-  SIFT_SKIP_IF_UNAVAILABLE(state, level);
-  const auto& k = simd::kernels(level);
+  const auto& k = sweep_kernels(state);
   // Interleaved (x, y) pairs in [0, 1): the count-matrix binning layout.
   std::vector<double> xy(2 * kKernelN);
   std::mt19937 rng(2017);
@@ -220,7 +206,7 @@ void BM_SimdHist2d(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kKernelN);
 }
-BENCHMARK(BM_SimdHist2d)->ArgName("level")->DenseRange(0, 3);
+BENCHMARK(BM_SimdHist2d)->Apply(registered_levels);
 
 }  // namespace
 

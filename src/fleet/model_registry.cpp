@@ -44,10 +44,7 @@ ModelRegistry::ModelRegistry(TieredModelProvider provider, std::size_t capacity,
 
 std::shared_ptr<const core::UserModel> ModelRegistry::load(int user_id,
                                                            int tier) {
-  if (tier == kDefaultTier) {
-    return provider_ ? provider_(user_id)
-                     : tiered_provider_(user_id, core::DetectorVersion::kOriginal);
-  }
+  if (tier == kDefaultTier) return provider_(user_id);
   return tiered_provider_(user_id, static_cast<core::DetectorVersion>(tier));
 }
 
@@ -92,9 +89,14 @@ ModelRegistry::Lease ModelRegistry::acquire_locked(int user_id, int tier) {
   return {std::move(model), AcquireStatus::kLoaded};
 }
 
+int ModelRegistry::default_tier() const noexcept {
+  return tiered_provider_ ? static_cast<int>(core::DetectorVersion::kOriginal)
+                          : kDefaultTier;
+}
+
 ModelRegistry::Lease ModelRegistry::try_acquire(int user_id) {
   std::lock_guard lock(mu_);
-  return acquire_locked(user_id, kDefaultTier);
+  return acquire_locked(user_id, default_tier());
 }
 
 ModelRegistry::Lease ModelRegistry::try_acquire(int user_id,
@@ -110,8 +112,7 @@ std::size_t ModelRegistry::warm_load(
   // 64 acquires per lock acquisition: large enough to amortise the lock,
   // small enough that foreground try_acquire traffic never waits long.
   constexpr std::size_t kBatch = 64;
-  const int tier =
-      version ? static_cast<int>(*version) : kDefaultTier;
+  const int tier = version ? static_cast<int>(*version) : default_tier();
   std::size_t loaded = 0;
   for (std::size_t base = 0; base < user_ids.size(); base += kBatch) {
     const std::size_t end = std::min(base + kBatch, user_ids.size());
@@ -180,7 +181,7 @@ std::size_t ModelRegistry::open_breakers() const {
 
 CircuitBreaker::State ModelRegistry::breaker_state(int user_id) const {
   std::lock_guard lock(mu_);
-  const auto it = breakers_.find(make_key(user_id, kDefaultTier));
+  const auto it = breakers_.find(make_key(user_id, default_tier()));
   return it == breakers_.end() ? CircuitBreaker::State::kClosed
                                : it->second.state();
 }

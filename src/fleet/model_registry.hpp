@@ -80,8 +80,10 @@ class ModelRegistry {
   std::shared_ptr<const core::UserModel> acquire(int user_id);
 
   /// Non-throwing acquire through the backoff/breaker machinery. The
-  /// default-tier overload serves whatever the provider's natural artefact
-  /// is; the tier overload requires a TieredModelProvider.
+  /// default-tier overload serves the provider's natural artefact — on a
+  /// tiered registry that is the Original tier, the same cache entry and
+  /// breaker as try_acquire(user_id, kOriginal); the tier overload requires
+  /// a TieredModelProvider.
   Lease try_acquire(int user_id);
   Lease try_acquire(int user_id, core::DetectorVersion version);
 
@@ -124,6 +126,9 @@ class ModelRegistry {
   /// Cache/breaker key: user id plus tier (kDefaultTier = the plain
   /// provider's natural artefact).
   static constexpr int kDefaultTier = -1;
+  /// The tier a default-tier request caches under: kOriginal on a tiered
+  /// registry, so warm_load(ids, kOriginal) warms try_acquire(id).
+  int default_tier() const noexcept;
   using Key = std::int64_t;
   static Key make_key(int user_id, int tier) noexcept {
     return (static_cast<Key>(user_id) << 2) | static_cast<Key>(tier + 1);

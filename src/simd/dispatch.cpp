@@ -1,7 +1,8 @@
-// Runtime dispatch: detect what the host can execute, resolve the
-// SIFT_SIMD_LEVEL override, and publish the chosen kernel table through an
-// atomic pointer. Detection runs once; set_active_level() exists so tests
-// and benchmarks can force every available level through the same code.
+// Dispatch: the levels this build registers are fixed at compile time
+// (SSE2 is the x86-64 baseline, so there is nothing to probe at runtime).
+// Resolve the SIFT_SIMD_LEVEL override once and publish the chosen kernel
+// table through an atomic pointer; set_active_level() exists so tests and
+// benchmarks can force every registered level through the same code.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -13,43 +14,28 @@
 namespace sift::simd {
 namespace {
 
-struct Registry {
-  Level levels[4] = {};
-  std::size_t count = 0;
+constexpr Level kLevels[] = {
+#if defined(__x86_64__) || defined(_M_X64)
+    Level::kSse2,
+#endif
+    Level::kScalar,
 };
 
-const Registry& registry() noexcept {
-  static const Registry reg = [] {
-    Registry r;
-#if defined(__x86_64__)
-    if (__builtin_cpu_supports("avx2")) r.levels[r.count++] = Level::kAvx2;
-    r.levels[r.count++] = Level::kSse2;  // baseline on x86-64
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-    r.levels[r.count++] = Level::kNeon;  // baseline on AArch64
-#endif
-    r.levels[r.count++] = Level::kScalar;
-    return r;
-  }();
-  return reg;
-}
-
 bool is_available(Level level) noexcept {
-  const Registry& reg = registry();
-  for (std::size_t i = 0; i < reg.count; ++i) {
-    if (reg.levels[i] == level) return true;
+  for (const Level l : kLevels) {
+    if (l == level) return true;
   }
   return false;
 }
 
-/// SIFT_SIMD_LEVEL if set, valid, and runnable here; otherwise the best
-/// available level. A bad value is diagnosed once rather than silently
+/// SIFT_SIMD_LEVEL if set, valid, and registered here; otherwise the best
+/// registered level. A bad value is diagnosed once rather than silently
 /// dropped — it usually means a typo in a deployment script.
 const Kernels& resolve_initial() noexcept {
-  Level choice = registry().levels[0];
+  Level choice = kLevels[0];
   if (const char* env = std::getenv("SIFT_SIMD_LEVEL"); env && *env) {
     bool matched = false;
-    for (const Level level :
-         {Level::kScalar, Level::kSse2, Level::kNeon, Level::kAvx2}) {
+    for (const Level level : {Level::kScalar, Level::kSse2}) {
       if (std::strcmp(env, to_string(level)) == 0) {
         matched = true;
         if (is_available(level)) {
@@ -66,7 +52,7 @@ const Kernels& resolve_initial() noexcept {
     if (!matched) {
       std::fprintf(stderr,
                    "sift_simd: unknown SIFT_SIMD_LEVEL=%s "
-                   "(expected scalar|sse2|neon|avx2), using %s\n",
+                   "(expected scalar|sse2), using %s\n",
                    env, to_string(choice));
     }
   }
@@ -86,35 +72,17 @@ const char* to_string(Level level) noexcept {
       return "scalar";
     case Level::kSse2:
       return "sse2";
-    case Level::kNeon:
-      return "neon";
-    case Level::kAvx2:
-      return "avx2";
   }
   return "unknown";
 }
 
-std::span<const Level> available_levels() noexcept {
-  const Registry& reg = registry();
-  return {reg.levels, reg.count};
-}
+std::span<const Level> available_levels() noexcept { return kLevels; }
 
-const Kernels& kernels(Level level) noexcept {
-  if (!is_available(level)) return scalar_kernels();
-  switch (level) {
+const Kernels& kernels([[maybe_unused]] Level level) noexcept {
 #if defined(__x86_64__) || defined(_M_X64)
-    case Level::kSse2:
-      return sse2_kernels();
-    case Level::kAvx2:
-      return avx2_kernels();
+  if (level == Level::kSse2) return sse2_kernels();
 #endif
-#if defined(__aarch64__) && defined(__ARM_NEON)
-    case Level::kNeon:
-      return neon_kernels();
-#endif
-    default:
-      return scalar_kernels();
-  }
+  return scalar_kernels();
 }
 
 const Kernels& active() noexcept { return *active_slot().load(std::memory_order_relaxed); }

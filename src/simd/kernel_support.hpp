@@ -1,28 +1,24 @@
-// Internal helpers shared by every kernel translation unit (scalar, SSE2,
-// AVX2, NEON). The SIMD implementations delegate their scalar edges and
-// tails to these so the operation sequence — and therefore the bit pattern
-// of the result — is pinned in exactly one place.
+// Internal helpers shared by both kernel translation units (scalar and
+// SSE2). The SSE2 table delegates its scalar edges and tails to these so
+// the operation sequence — and therefore the bit pattern of the result —
+// is pinned in exactly one place.
 //
 // Not part of the public API; include simd.hpp instead.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "simd/simd.hpp"
 
 namespace sift::simd {
 
-// Per-ISA kernel tables, one per translation unit. Only the dispatcher and
-// the tables themselves should call these; everyone else goes through
-// kernels()/active().
+// Kernel tables, one per translation unit. Only the dispatcher should call
+// these; everyone else goes through kernels()/active().
 const Kernels& scalar_kernels() noexcept;
 #if defined(__x86_64__) || defined(_M_X64)
 const Kernels& sse2_kernels() noexcept;
-const Kernels& avx2_kernels() noexcept;
-#endif
-#if defined(__aarch64__) && defined(__ARM_NEON)
-const Kernels& neon_kernels() noexcept;
 #endif
 
 }  // namespace sift::simd
@@ -35,11 +31,21 @@ namespace sift::simd::detail {
 inline double min2(double a, double b) noexcept { return a < b ? a : b; }
 inline double max2(double a, double b) noexcept { return a > b ? a : b; }
 
-/// Pinned lane-combination order for 4-lane blocked reductions: what the
-/// two 128-bit halves of a 256-bit accumulator reduce to.
+/// Pinned lane-combination order for 4-lane blocked reductions: what
+/// adding the SSE2 accumulators {l0, l1} and {l2, l3}, then the two
+/// elements, reduces to.
 inline double combine_lanes(double l0, double l1, double l2,
                             double l3) noexcept {
   return (l0 + l2) + (l1 + l3);
+}
+
+/// Where two NaNs meet in an add, x86 returns the first operand, and the
+/// compiler may commute an add — so a reduction's NaN sign would depend on
+/// code generation (inf - inf yields -NaN, a NaN input is usually +NaN).
+/// Every reduction result passes through here: any NaN becomes the one
+/// canonical quiet NaN, at every level.
+inline double pin_nan(double v) noexcept {
+  return v != v ? std::numeric_limits<double>::quiet_NaN() : v;
 }
 
 /// The left edge of the 5-point derivative (indices < 4 clamp taps to
@@ -106,8 +112,8 @@ inline MeanVar masked_mean_var_impl(const double* col, const std::uint32_t* idx,
   return {mean, ss / static_cast<double>(n)};
 }
 
-/// Scalar gather + affine + strided scatter; the SSE2/NEON tables share it
-/// (strided stores leave nothing to vectorise below AVX2's gathers). Each
+/// Scalar gather + affine + strided scatter; both tables share it (SSE2
+/// has no gather, and strided stores leave nothing to vectorise). Each
 /// element is one subtract and one divide, so any level is bit-identical.
 inline void gather_scale_shift_impl(const double* col, const std::uint32_t* idx,
                                     std::size_t n, double shift, double scale,

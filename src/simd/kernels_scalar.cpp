@@ -1,7 +1,7 @@
-// Portable scalar dispatch target — and the semantic reference for every
-// SIMD level. The reductions run the same four virtual accumulator lanes
-// the vector units use (4-wide blocks, lane combination pinned to
-// (l0 + l2) + (l1 + l3), sequential tail), so AVX2/SSE2/NEON results are
+// Portable scalar dispatch target — and the semantic reference for the
+// SSE2 table. The reductions run the same four virtual accumulator lanes
+// the vector unit uses (4-wide blocks, lane combination pinned to
+// (l0 + l2) + (l1 + l3), sequential tail), so SSE2 results are
 // bit-identical to this file, not merely close. The library is compiled
 // with -ffp-contract=off so no target silently fuses a multiply-add.
 #include <cstddef>
@@ -24,7 +24,7 @@ double dot_scalar(const double* a, const double* b, std::size_t n) {
   }
   double s = detail::combine_lanes(l0, l1, l2, l3);
   for (; i < n; ++i) s += a[i] * b[i];
-  return s;
+  return detail::pin_nan(s);
 }
 
 void axpy_scalar(double a, const double* x, double* y, std::size_t n) {
@@ -87,7 +87,8 @@ MeanVar mean_var_scalar(const double* x, std::size_t n) {
     const double d = x[i] - mean;
     ss += d * d;
   }
-  return {mean, ss / static_cast<double>(n)};
+  return {detail::pin_nan(mean),
+          detail::pin_nan(ss / static_cast<double>(n))};
 }
 
 void scale_shift_scalar(const double* x, const double* shift,

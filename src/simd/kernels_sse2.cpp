@@ -2,7 +2,8 @@
 // 2-wide registers, {l0, l1} and {l2, l3}. Adding the two registers and
 // then the two elements reproduces the pinned (l0 + l2) + (l1 + l3) lane
 // combination exactly, so results match the scalar table bit-for-bit.
-// SSE2 only — no SSE4.1 instructions (the baseline x86-64 guarantee).
+// SSE2 only — no SSE4.1 instructions — so the table runs on every x86-64
+// CPU without a runtime check. Off x86-64 this file compiles to nothing.
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <emmintrin.h>
@@ -34,7 +35,7 @@ double dot_sse2(const double* a, const double* b, std::size_t n) {
   }
   double s = hsum_combined(acc01, acc23);
   for (; i < n; ++i) s += a[i] * b[i];
-  return s;
+  return detail::pin_nan(s);
 }
 
 void axpy_sse2(double a, const double* x, double* y, std::size_t n) {
@@ -106,7 +107,8 @@ MeanVar mean_var_sse2(const double* x, std::size_t n) {
     const double d = x[i] - mean;
     ss += d * d;
   }
-  return {mean, ss / static_cast<double>(n)};
+  return {detail::pin_nan(mean),
+          detail::pin_nan(ss / static_cast<double>(n))};
 }
 
 void scale_shift_sse2(const double* x, const double* shift,

@@ -1,28 +1,30 @@
-// Runtime-dispatched SIMD kernel layer for the sample -> verdict hot path.
+// Dispatched SIMD kernel layer for the sample -> verdict hot path.
 //
 // Every arithmetic primitive the detection pipeline leans on (dot products,
 // axpy updates, min/max scans, mean/variance, the fused scaler transform,
 // squaring, the Pan-Tompkins FIR derivative and moving-window integration,
 // 2-D histogram binning for the count matrix, and count-matrix column
-// averages) is provided here as a table of kernels with implementations for
-// AVX2, SSE2, NEON, and portable scalar. The best level the host supports
-// is selected once at startup (cpuid / compile-time ISA), overridable with
-// the SIFT_SIMD_LEVEL environment variable (scalar|sse2|avx2|neon) for
+// averages) is provided here as a table of kernels. A build carries at most
+// one vector table: SSE2 on x86-64 (the ISA baseline, so no runtime CPU
+// detection), none elsewhere; the portable scalar table is always present
+// and is the semantic reference. The vector table is the default; the
+// SIFT_SIMD_LEVEL environment variable (scalar|sse2) overrides it for
 // testing and field diagnosis.
 //
 // Determinism contract — the reason this layer can sit under a detector
 // whose verdicts must not drift: every kernel uses a *fixed blocked
-// reduction order* of four virtual accumulator lanes. The scalar fallback
-// runs the same four lanes in plain code; SSE2/NEON run them as two 2-wide
-// registers; AVX2 as one 4-wide register. Lane combination is pinned to
-//   (l0 + l2) + (l1 + l3)
-// (exactly what the 128-bit halves of a 256-bit register reduce to), and
-// fused-multiply-add contraction is disabled for the whole library, so
-// every dispatch target produces BIT-IDENTICAL results on identical input
-// — including NaN/Inf propagation, which follows the x86 min/max "return
-// the second operand" rule at every level. tests/simd_test.cpp enforces
-// this bitwise across all levels the host can run; the golden-cohort suite
-// pins the resulting detector verdicts.
+// reduction order* of four virtual accumulator lanes. The scalar table
+// runs the four lanes in plain code; SSE2 runs them as two 2-wide
+// registers. Lane combination is pinned to
+//   (l0 + l2) + (l1 + l3),
+// fused-multiply-add contraction is disabled for the whole library, min/max
+// follows the x86 MINPD/MAXPD "return the second operand" rule at every
+// level, and a reduction whose result is NaN returns one canonical quiet
+// NaN (which NaN an add propagates depends on operand order, and the
+// compiler may commute an add). So every level produces BIT-IDENTICAL
+// results on identical input. tests/simd_test.cpp enforces this bitwise
+// across all levels the build registers; the golden-cohort suite pins the
+// resulting detector verdicts.
 #pragma once
 
 #include <cassert>
@@ -32,18 +34,16 @@
 
 namespace sift::simd {
 
-/// Dispatch targets, ordered by preference (higher = wider/faster).
+/// Dispatch targets, ordered by preference (higher = faster).
 enum class Level : int {
   kScalar = 0,
   kSse2 = 1,
-  kNeon = 2,
-  kAvx2 = 3,
 };
 
 const char* to_string(Level level) noexcept;
 
-/// Levels this host can execute, best first (scalar is always present and
-/// always last). Detected once; stable for the process lifetime.
+/// Levels this build registers, best first: {sse2, scalar} on x86-64,
+/// {scalar} elsewhere. Fixed at compile time.
 std::span<const Level> available_levels() noexcept;
 
 /// The level the dispatched kernels currently run at. Resolved on first
@@ -52,7 +52,7 @@ std::span<const Level> available_levels() noexcept;
 Level active_level() noexcept;
 
 /// Forces the dispatch table to @p level. Returns false (and changes
-/// nothing) if the host cannot execute it. Intended for tests and
+/// nothing) if the build does not register it. Intended for tests and
 /// benchmarks; not thread-safe against in-flight kernel calls.
 bool set_active_level(Level level) noexcept;
 
@@ -71,7 +71,8 @@ struct MeanVar {
 struct Kernels {
   Level level = Level::kScalar;
 
-  /// Blocked 4-lane dot product of a[0..n) and b[0..n).
+  /// Blocked 4-lane dot product of a[0..n) and b[0..n); a NaN result is
+  /// the canonical quiet NaN.
   double (*dot)(const double* a, const double* b, std::size_t n);
   /// y[i] += a * x[i] (elementwise; no reduction, bit-stable everywhere).
   void (*axpy)(double a, const double* x, double* y, std::size_t n);
@@ -80,6 +81,7 @@ struct Kernels {
   /// every level, scalar included.
   MinMax (*min_max)(const double* x, std::size_t n);
   /// Blocked two-pass mean and population variance; {0, 0} for n == 0.
+  /// A NaN mean or variance is the canonical quiet NaN.
   MeanVar (*mean_var)(const double* x, std::size_t n);
   /// out[i] = (x[i] - shift[i]) / scale[i] — the fused scaler transform.
   void (*scale_shift)(const double* x, const double* shift,
@@ -128,13 +130,13 @@ struct Kernels {
   /// training-set selection down a stored feature column, applies the
   /// scaler affine, and scatters into one column of a row-major training
   /// matrix. Elementwise (one subtract + one divide per element), so every
-  /// level is bit-identical; AVX2 uses hardware gathers.
+  /// level is bit-identical.
   void (*gather_scale_shift)(const double* col, const std::uint32_t* idx,
                              std::size_t n, double shift, double scale,
                              double* out, std::size_t out_stride);
 };
 
-/// Kernel table for a specific level. @p level must be in
+/// Kernel table for a specific level. @p level should be in
 /// available_levels(); the scalar table is returned for anything else.
 const Kernels& kernels(Level level) noexcept;
 

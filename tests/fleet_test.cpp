@@ -320,6 +320,38 @@ TEST(ModelRegistry, TieredProviderCachesPerTier) {
   EXPECT_EQ(calls, 2) << "tier hit served from cache";
 }
 
+TEST(ModelRegistry, TieredDefaultTierIsTheOriginalEntry) {
+  // The fleet warm-loads a model store at kOriginal and then acquires at
+  // the default tier on each session's first packet: both must name one
+  // cache entry, or every session re-reads its model from disk.
+  int calls = 0;
+  const auto now = std::chrono::steady_clock::now();
+  ModelRegistry registry(
+      TieredModelProvider([&](int user_id, core::DetectorVersion version) {
+        ++calls;
+        if (user_id == 5) return std::shared_ptr<const core::UserModel>{};
+        auto m = std::make_shared<core::UserModel>();
+        m->config.version = version;
+        return std::shared_ptr<const core::UserModel>(std::move(m));
+      }),
+      8, BreakerPolicy{}, [&] { return now; });
+  const std::vector<int> ids = {3};
+  ASSERT_EQ(registry.warm_load(ids, core::DetectorVersion::kOriginal), 1u);
+  const auto lease = registry.try_acquire(3);
+  ASSERT_NE(lease.model, nullptr);
+  EXPECT_EQ(lease.model->config.version, core::DetectorVersion::kOriginal);
+  EXPECT_EQ(calls, 1) << "default-tier acquire hits the warm Original entry";
+  EXPECT_EQ(registry.hits(), 1u);
+  EXPECT_EQ(registry.resident(), 1u);
+
+  // One breaker too: a default-tier failure backs off the Original tier.
+  EXPECT_EQ(registry.try_acquire(5).status,
+            ModelRegistry::AcquireStatus::kLoadFailed);
+  EXPECT_EQ(registry.try_acquire(5, core::DetectorVersion::kOriginal).status,
+            ModelRegistry::AcquireStatus::kBackoff);
+  EXPECT_EQ(calls, 2);
+}
+
 TEST(ModelRegistry, WarmLoadFillsUpToCapacityAndCountsSuccesses) {
   std::atomic<int> loads{0};
   ModelRegistry registry(

@@ -1,13 +1,14 @@
 // Cross-level bit-identity suite for the SIMD kernel layer.
 //
-// The dispatch contract (src/simd/simd.hpp) says every level — scalar,
-// SSE2, AVX2, NEON — produces bit-identical results on identical input,
+// The dispatch contract (src/simd/simd.hpp) says every level — scalar and,
+// on x86-64, SSE2 — produces bit-identical results on identical input,
 // NaN/Inf propagation included. These tests run every kernel at every
-// level the host can execute against the scalar table and compare raw bit
+// level the build registers against the scalar table and compare raw bit
 // patterns, over random data and adversarial inputs (NaN, infinities,
 // denormals, signed zero, empty and odd-length buffers). A second group
 // pins the kernels to the original textbook formulas so the SIMD layer
-// cannot drift away from the pre-SIMD pipeline it replaced.
+// cannot drift away from the pre-SIMD pipeline it replaced, and a third
+// pins the registry itself, so a silent fall-back to scalar fails a test.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -95,6 +96,27 @@ TEST_P(SimdLevelTest, DotMatchesScalarBitwise) {
                         ref().dot(a.data(), b.data(), n)))
           << "n=" << n << " seed=" << seed;
     }
+  }
+}
+
+TEST_P(SimdLevelTest, NanReductionsReturnTheCanonicalQuietNan) {
+  // +NaN in lane 0 and inf + -inf (which yields -NaN on x86) in lane 3:
+  // the lanes meet in the combine, where operand order would pick the
+  // sign. Also a lone -NaN input, and a tail-only NaN.
+  const std::uint64_t canonical = bits(kNan);
+  const double neg_nan = std::copysign(kNan, -1.0);
+  const std::vector<std::vector<double>> inputs = {
+      {kNan, 1.0, 2.0, kInf, 3.0, 4.0, 5.0, -kInf, 6.0},
+      {neg_nan, 1.0, 2.0, 3.0, 4.0},
+      {1.0, 2.0, 3.0, 4.0, kInf, -kInf},
+  };
+  for (const auto& x : inputs) {
+    const auto mv = k().mean_var(x.data(), x.size());
+    EXPECT_EQ(bits(mv.mean), canonical);
+    EXPECT_EQ(bits(mv.variance), canonical);
+    const std::vector<double> ones(x.size(), 1.0);
+    EXPECT_EQ(bits(k().dot(x.data(), ones.data(), x.size())), canonical);
+    EXPECT_EQ(bits(k().dot(ones.data(), x.data(), x.size())), canonical);
   }
 }
 
@@ -397,30 +419,33 @@ TEST(SimdDispatch, SetActiveLevelRoundTrips) {
   ASSERT_TRUE(sift::simd::set_active_level(before));
 }
 
-TEST(SimdDispatch, UnavailableLevelIsRejected) {
-#if defined(__x86_64__)
-  const Level missing = Level::kNeon;
+TEST(SimdDispatch, RegistryIsFixedPerTarget) {
+  // The SSE2 table is what keeps the pipeline fast; a build that silently
+  // registers only scalar would run ~40 % slower and still pass every
+  // bit-identity test.
+  const auto levels = sift::simd::available_levels();
+#if defined(__x86_64__) || defined(_M_X64)
+  const std::vector<Level> want = {Level::kSse2, Level::kScalar};
 #else
-  const Level missing = Level::kAvx2;
+  const std::vector<Level> want = {Level::kScalar};
 #endif
-  bool listed = false;
-  for (const Level level : sift::simd::available_levels()) {
-    if (level == missing) listed = true;
-  }
-  if (listed) GTEST_SKIP() << "host unexpectedly supports the probe level";
+  EXPECT_EQ(std::vector<Level>(levels.begin(), levels.end()), want);
+}
+
+TEST(SimdDispatch, UnavailableLevelIsRejected) {
+  const Level missing = static_cast<Level>(7);  // no such enumerator
   const Level before = sift::simd::active_level();
   EXPECT_FALSE(sift::simd::set_active_level(missing));
   EXPECT_EQ(sift::simd::active_level(), before);
-  // kernels() degrades to the scalar table rather than dispatching to an
-  // ISA the host cannot run.
+  // kernels() degrades to the scalar table rather than dispatching to a
+  // level the build does not register.
   EXPECT_EQ(sift::simd::kernels(missing).level, Level::kScalar);
+  EXPECT_STREQ(sift::simd::to_string(missing), "unknown");
 }
 
 TEST(SimdDispatch, LevelNamesRoundTrip) {
   EXPECT_STREQ(sift::simd::to_string(Level::kScalar), "scalar");
   EXPECT_STREQ(sift::simd::to_string(Level::kSse2), "sse2");
-  EXPECT_STREQ(sift::simd::to_string(Level::kNeon), "neon");
-  EXPECT_STREQ(sift::simd::to_string(Level::kAvx2), "avx2");
 }
 
 TEST(SimdSpanWrappers, RouteThroughActiveTable) {

@@ -553,8 +553,9 @@ int cmd_emit_qm(std::span<const std::string> args) {
 int cmd_check(std::span<const std::string> args) {
   if (args.empty()) return usage();
   // The check gates code destined for scalar-only MCUs, so surface what the
-  // *host* pipeline dispatches to — the two must not be conflated.
-  std::printf("host simd: %s (available:", simd::to_string(simd::active_level()));
+  // *host* pipeline dispatches to — the two must not be conflated. The
+  // registered set is fixed per build target, not probed on this CPU.
+  std::printf("host simd: %s (registered:", simd::to_string(simd::active_level()));
   for (const auto level : simd::available_levels()) {
     std::printf(" %s", simd::to_string(level));
   }
