@@ -10,9 +10,9 @@ namespace sift::core {
 
 namespace {
 
-/// Min/max of a window plus the derived normaliser, matching
-/// signal::min_max_normalize exactly: degenerate windows (range <= 0) map
-/// every sample to 0.5, otherwise x -> (x - min) / range.
+/// Per-window min-max normaliser: x -> (x - min) / (max - min). A
+/// degenerate window (range <= 0, e.g. a flatline attack) maps every
+/// sample to the midpoint 0.5, so the portrait geometry stays finite.
 struct Normalizer {
   double mn = 0.0;
   double range = 0.0;

@@ -15,9 +15,10 @@ namespace sift::fleet::durable {
 namespace {
 
 constexpr std::uint32_t kCheckpointMagic = 0x4B464953;  // "SIFK"
-/// v2: per-segment barrier list (the thread-per-core WAL). Any other
+/// v2: per-segment barrier list (the thread-per-core WAL). v3: session
+/// health without the never-written validation-reject count. Any other
 /// version is rejected like a corrupt generation.
-constexpr std::uint16_t kCheckpointVersion = 2;
+constexpr std::uint16_t kCheckpointVersion = 3;
 
 void fsync_dir(const std::string& dir) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);

@@ -125,14 +125,6 @@ std::size_t ModelRegistry::warm_load(
   return loaded;
 }
 
-std::shared_ptr<const core::UserModel> ModelRegistry::acquire(int user_id) {
-  const Lease lease = try_acquire(user_id);
-  if (!lease.model) {
-    throw std::runtime_error("ModelRegistry: provider returned no model");
-  }
-  return lease.model;
-}
-
 std::size_t ModelRegistry::resident() const {
   std::lock_guard lock(mu_);
   return lru_.size();

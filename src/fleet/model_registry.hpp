@@ -73,13 +73,8 @@ class ModelRegistry {
   ModelRegistry(TieredModelProvider provider, std::size_t capacity,
                 BreakerPolicy policy = {}, RegistryClock clock = {});
 
-  /// Fetches (loading if needed) and marks the model most-recently-used.
-  /// @throws std::runtime_error if the load fails or is breaker-blocked —
-  /// kept for callers that treat a missing model as fatal; the fleet
-  /// engine uses try_acquire instead.
-  std::shared_ptr<const core::UserModel> acquire(int user_id);
-
-  /// Non-throwing acquire through the backoff/breaker machinery. The
+  /// Fetches (loading if needed) and marks the model most-recently-used,
+  /// through the backoff/breaker machinery; never throws. The
   /// default-tier overload serves the provider's natural artefact — on a
   /// tiered registry that is the Original tier, the same cache entry and
   /// breaker as try_acquire(user_id, kOriginal); the tier overload requires

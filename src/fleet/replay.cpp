@@ -1,6 +1,7 @@
 #include "fleet/replay.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -120,11 +121,14 @@ TieredModelProvider ReplayFixture::provider_tiered() const {
   };
 }
 
-ReplayResult replay_through(FleetEngine& engine, const ReplayFixture& fixture,
-                            std::size_t producers, FaultInjector* injector) {
+ReplayResult replay_through(
+    FleetEngine& engine, const ReplayFixture& fixture, std::size_t producers,
+    FaultInjector* injector,
+    const std::unordered_map<int, SessionCursors>& cursors) {
   if (producers == 0) producers = 1;
   producers = std::min(producers, fixture.sessions());
 
+  std::atomic<std::uint64_t> offered{0};
   const auto start = std::chrono::steady_clock::now();
   {
     std::vector<std::jthread> pool;
@@ -135,6 +139,7 @@ ReplayResult replay_through(FleetEngine& engine, const ReplayFixture& fixture,
         // owned session, then packet 1, ... — the realistic arrival order
         // for concurrent wearers. Each session's packets are offered by
         // exactly one producer, so per-user FIFO order is preserved.
+        std::uint64_t mine = 0;
         bool more = true;
         for (std::size_t step = 0; more; ++step) {
           more = false;
@@ -142,13 +147,27 @@ ReplayResult replay_through(FleetEngine& engine, const ReplayFixture& fixture,
             const auto& stream = fixture.session_packets(s);
             if (step >= stream.size()) continue;
             more = true;
-            wiot::Packet packet = stream[step];
+            const wiot::Packet& pristine = stream[step];
+            // The skip decision uses the fixture's pristine sequence number
+            // (the packet's canonical position); corruption is applied
+            // after, on the same (seed, user, seq, kind) schedule as the
+            // original run.
+            if (const auto it = cursors.find(static_cast<int>(s));
+                it != cursors.end()) {
+              const std::uint32_t cursor =
+                  pristine.kind == wiot::ChannelKind::kEcg ? it->second.ecg
+                                                           : it->second.abp;
+              if (pristine.seq < cursor) continue;
+            }
+            wiot::Packet packet = pristine;
             if (injector) {
               injector->corrupt_packet(static_cast<int>(s), packet);
             }
             engine.ingest(static_cast<int>(s), std::move(packet));
+            ++mine;
           }
         }
+        offered.fetch_add(mine, std::memory_order_relaxed);
       });
     }
   }
@@ -157,49 +176,7 @@ ReplayResult replay_through(FleetEngine& engine, const ReplayFixture& fixture,
 
   ReplayResult result;
   result.elapsed = end - start;
-  result.packets_offered = fixture.total_packets();
-  result.windows_classified = engine.windows_classified();
-  return result;
-}
-
-ReplayResult replay_resume(
-    FleetEngine& engine, const ReplayFixture& fixture,
-    const std::unordered_map<int, SessionCursors>& cursors,
-    FaultInjector* injector) {
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t offered = 0;
-  bool more = true;
-  for (std::size_t step = 0; more; ++step) {
-    more = false;
-    for (std::size_t s = 0; s < fixture.sessions(); ++s) {
-      const auto& stream = fixture.session_packets(s);
-      if (step >= stream.size()) continue;
-      more = true;
-      const wiot::Packet& pristine = stream[step];
-      // The skip decision uses the fixture's pristine sequence number (the
-      // packet's canonical position) — corruption is applied after, on the
-      // same (seed, user, seq, kind) schedule as the original run.
-      if (const auto it = cursors.find(static_cast<int>(s));
-          it != cursors.end()) {
-        const std::uint32_t cursor = pristine.kind == wiot::ChannelKind::kEcg
-                                         ? it->second.ecg
-                                         : it->second.abp;
-        if (pristine.seq < cursor) continue;
-      }
-      wiot::Packet packet = pristine;
-      if (injector) {
-        injector->corrupt_packet(static_cast<int>(s), packet);
-      }
-      engine.ingest(static_cast<int>(s), std::move(packet));
-      ++offered;
-    }
-  }
-  engine.drain();
-  const auto end = std::chrono::steady_clock::now();
-
-  ReplayResult result;
-  result.elapsed = end - start;
-  result.packets_offered = offered;
+  result.packets_offered = offered.load();
   result.windows_classified = engine.windows_classified();
   return result;
 }

@@ -92,27 +92,23 @@ std::vector<std::vector<wiot::Packet>> build_session_streams(
 /// deterministic verdicts), then drains the engine and reports wall time.
 /// When @p injector is non-null each offered packet first passes through
 /// FaultInjector::corrupt_packet — the radio-side chaos path.
-ReplayResult replay_through(FleetEngine& engine, const ReplayFixture& fixture,
-                            std::size_t producers,
-                            FaultInjector* injector = nullptr);
+///
+/// Recovery passes the restored per-user @p cursors: every packet whose
+/// (pristine) sequence number is below its session's checkpointed cursor
+/// for that channel is skipped — exactly the packets whose effects the
+/// checkpoint already contains — and the injector re-corrupts the rest on
+/// the same deterministic schedule as the original run. Sessions absent
+/// from @p cursors are fed from the start. packets_offered counts only the
+/// packets actually offered.
+ReplayResult replay_through(
+    FleetEngine& engine, const ReplayFixture& fixture, std::size_t producers,
+    FaultInjector* injector = nullptr,
+    const std::unordered_map<int, SessionCursors>& cursors = {});
 
 /// Single-threaded reference: runs each session's packet stream through a
 /// plain BaseStation. The fleet stress test compares engine verdicts
 /// against this, window for window.
 std::vector<wiot::BaseStation::Stats> single_thread_reference(
     const ReplayFixture& fixture, const wiot::BaseStation::Config& station);
-
-/// Recovery replay: re-feeds the fixture into a restored engine, skipping
-/// every packet whose (pristine) sequence number is below the session's
-/// checkpointed cursor for that channel — exactly the packets whose
-/// effects the checkpoint already contains. Sessions absent from
-/// @p cursors are fed from the start. Single producer, time-major, so the
-/// per-user order matches replay_through; @p injector (if any) re-corrupts
-/// the surviving packets on the same deterministic schedule as the
-/// original run.
-ReplayResult replay_resume(
-    FleetEngine& engine, const ReplayFixture& fixture,
-    const std::unordered_map<int, SessionCursors>& cursors,
-    FaultInjector* injector = nullptr);
 
 }  // namespace sift::fleet

@@ -54,7 +54,6 @@ class Session {
     std::uint64_t quarantine_exits = 0;
     std::size_t probe_countdown = 0;  ///< drops left before the next probe
     std::size_t shed_cooldown = 0;    ///< packets until next tier move
-    std::uint64_t validation_rejects = 0;  ///< ingest-side rejects
     // Anti-replay accounting (see FleetConfig::anti_replay). Suspicion is a
     // leaky bucket: each sequence anomaly adds a fixed 16, each cleanly
     // processed packet drains one unit; crossing suspicion_threshold moves
@@ -152,7 +151,6 @@ class Session {
     w.u64(health_.quarantine_exits);
     w.u64(health_.probe_countdown);
     w.u64(health_.shed_cooldown);
-    w.u64(health_.validation_rejects);
     w.u64(health_.seq_anomalies);
     w.u64(health_.suspicion);
     w.u64(health_.suspect_entries);
@@ -185,7 +183,6 @@ class Session {
     health_.quarantine_exits = r.u64();
     health_.probe_countdown = static_cast<std::size_t>(r.u64());
     health_.shed_cooldown = static_cast<std::size_t>(r.u64());
-    health_.validation_rejects = r.u64();
     health_.seq_anomalies = r.u64();
     health_.suspicion = r.u64();
     health_.suspect_entries = r.u64();

@@ -4,7 +4,6 @@
 #include <sys/socket.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <optional>
@@ -262,10 +261,9 @@ DriveResult drive_load(const DriveConfig& config,
   DriveResult result;
   if (streams.empty()) return result;
 
-  const bool resuming = config.resume || config.faults != nullptr;
-
-  // The observer stays on a clean wire (no shim), but a chaos-armed server
-  // can still reset it — reconnect and retry instead of failing the drive.
+  // The observer stays on a clean wire (no shim), but a chaos-armed or
+  // restarting server can still reset it — reconnect and retry instead of
+  // failing the drive.
   std::optional<Client> observer;
   auto safe_stats = [&]() -> std::optional<wire::Stats> {
     try {
@@ -276,139 +274,77 @@ DriveResult drive_load(const DriveConfig& config,
       return std::nullopt;
     }
   };
-  if (resuming) {
-    bool got = false;
-    for (int i = 0; i < 250 && !got; ++i) {
-      if (const auto s = safe_stats()) {
-        result.before = *s;
-        got = true;
-      } else {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
+  bool got = false;
+  for (int i = 0; i < 250 && !got; ++i) {
+    if (const auto s = safe_stats()) {
+      result.before = *s;
+      got = true;
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
-    if (!got) return result;  // server unreachable; nothing to drive
-  } else {
-    observer.emplace(config.address);
-    result.before = observer->stats();
   }
+  if (!got) return result;  // server unreachable; nothing to drive
 
   const std::size_t connections =
       std::max<std::size_t>(1, std::min(config.connections, streams.size()));
-  std::atomic<std::uint64_t> sent{0};
   std::vector<ResumeResult> resumed(connections);
   const auto start = std::chrono::steady_clock::now();
   {
     std::vector<std::jthread> senders;
     senders.reserve(connections);
     for (std::size_t c = 0; c < connections; ++c) {
-      if (resuming) {
-        senders.emplace_back([&, c] {
-          ResumeConfig resume;
-          resume.address = config.address;
-          resume.rate_hz = config.rate_hz;
-          resume.faults = config.faults;
-          resume.conn_id = c + 1;
-          resume.give_up = config.settle_timeout;
-          std::vector<
-              std::pair<std::int32_t, const std::vector<wiot::Packet>*>>
-              sessions;
-          for (std::size_t s = c; s < streams.size(); s += connections) {
-            sessions.emplace_back(static_cast<std::int32_t>(s), &streams[s]);
-          }
-          resumed[c] = send_streams_resuming(resume, sessions);
-          sent.fetch_add(resumed[c].packets_sent, std::memory_order_relaxed);
-        });
-        continue;
-      }
       senders.emplace_back([&, c] {
-        Client client(config.address);
-        std::uint64_t my_sent = 0;
-        const auto t0 = std::chrono::steady_clock::now();
-        // Time-major over this connection's sessions: packet 0 of each,
-        // then packet 1, ... — concurrent wearers, per-user FIFO intact.
-        bool more = true;
-        for (std::size_t step = 0; more; ++step) {
-          more = false;
-          for (std::size_t s = c; s < streams.size(); s += connections) {
-            if (step >= streams[s].size()) continue;
-            more = true;
-            client.send_packet(static_cast<std::int32_t>(s),
-                               streams[s][step]);
-            ++my_sent;
-          }
-          if (config.rate_hz > 0) {
-            const auto due =
-                t0 + std::chrono::duration_cast<
-                         std::chrono::steady_clock::duration>(
-                         std::chrono::duration<double>(
-                             static_cast<double>(step + 1) / config.rate_hz));
-            std::this_thread::sleep_until(due);
-          }
+        ResumeConfig resume;
+        resume.address = config.address;
+        resume.rate_hz = config.rate_hz;
+        resume.faults = config.faults;
+        resume.conn_id = c + 1;
+        resume.give_up = config.settle_timeout;
+        std::vector<std::pair<std::int32_t, const std::vector<wiot::Packet>*>>
+            sessions;
+        for (std::size_t s = c; s < streams.size(); s += connections) {
+          sessions.emplace_back(static_cast<std::int32_t>(s), &streams[s]);
         }
-        client.close();
-        sent.fetch_add(my_sent, std::memory_order_relaxed);
+        resumed[c] = send_streams_resuming(resume, sessions);
       });
     }
   }
   const auto sent_at = std::chrono::steady_clock::now();
-  result.packets_sent = sent.load();
   result.send_seconds =
       std::chrono::duration<double>(sent_at - start).count();
 
   bool all_completed = true;
-  if (resuming) {
-    for (const ResumeResult& r : resumed) {
-      result.reconnects += r.reconnects;
-      result.resumes += r.resumes;
-      result.packets_skipped += r.packets_skipped;
-      all_completed = all_completed && r.completed;
-    }
+  for (const ResumeResult& r : resumed) {
+    result.packets_sent += r.packets_sent;
+    result.reconnects += r.reconnects;
+    result.resumes += r.resumes;
+    result.packets_skipped += r.packets_skipped;
+    all_completed = all_completed && r.completed;
   }
 
+  // "Accepted + rejected >= sent" cannot be the rule: re-sent overlap
+  // inflates accepts and cursor skips deflate them. Settled means: every
+  // stream confirmed consumed by the server's cursors, queues empty, and
+  // the window count stable across three consecutive polls.
   const auto deadline = sent_at + config.settle_timeout;
   std::uint64_t last_windows = ~std::uint64_t{0};
-  if (resuming) {
-    // Under chaos "accounted >= sent" is meaningless — re-sent overlap
-    // inflates accepts, cursor skips deflate them. Settled means: every
-    // stream fully delivered, queues empty, and the window count stable
-    // across three consecutive polls.
-    int stable = 0;
-    for (;;) {
-      if (const auto now = safe_stats()) {
-        result.after = *now;
-        if (all_completed && now->queue_depth == 0 &&
-            now->windows_classified == last_windows) {
-          if (++stable >= 3) {
-            result.settled = true;
-            break;
-          }
-        } else {
-          stable = 0;
+  int stable = 0;
+  for (;;) {
+    if (const auto now = safe_stats()) {
+      result.after = *now;
+      if (all_completed && now->queue_depth == 0 &&
+          now->windows_classified == last_windows) {
+        if (++stable >= 3) {
+          result.settled = true;
+          break;
         }
-        last_windows = now->windows_classified;
+      } else {
+        stable = 0;
       }
-      if (std::chrono::steady_clock::now() >= deadline) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      last_windows = now->windows_classified;
     }
-  } else {
-    // Settle: everything sent must be accounted for (accepted or
-    // rejected), the shard queues empty, and the window count stable
-    // across two polls (in-flight batches finish between them).
-    for (;;) {
-      const wire::Stats now = observer->stats();
-      const std::uint64_t accounted =
-          (now.packets_accepted - result.before.packets_accepted) +
-          (now.packets_rejected - result.before.packets_rejected);
-      result.after = now;
-      if (accounted >= result.packets_sent && now.queue_depth == 0 &&
-          now.windows_classified == last_windows) {
-        result.settled = true;
-        break;
-      }
-      last_windows = now.windows_classified;
-      if (std::chrono::steady_clock::now() >= deadline) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
+    if (std::chrono::steady_clock::now() >= deadline) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   result.total_seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)

@@ -7,10 +7,10 @@
 //
 // drive_load() is the other end of `siftctl serve`: it synthesises the
 // exact per-session packet streams fleet::build_session_streams produces
-// for a config, fans them over N connections (sessions partitioned by
+// for a config, fans them over N resuming senders (sessions partitioned by
 // connection, time-major order per connection, so per-user FIFO order is
-// preserved end to end), then polls server stats until everything it sent
-// has been accepted or rejected and the queues are empty. With the same
+// preserved end to end), then polls server stats until every stream is
+// confirmed consumed and the queues are empty. With the same
 // seed/users/seconds, an in-process replay of the same config must produce
 // identical per-user verdict streams — that equality is the subsystem's
 // correctness test.
@@ -150,28 +150,29 @@ struct DriveConfig {
   std::size_t samples_per_packet = 180;
   std::uint64_t seed = 2017;
   std::chrono::milliseconds settle_timeout{60000};
-  /// Chaos mode: route every sender through this wire-fault shim and use
-  /// the reconnect-with-resume path (non-owning; null = clean wire).
+  /// Chaos mode: route every sender through this wire-fault shim
+  /// (non-owning; null = clean wire).
   FaultyTransport* faults = nullptr;
-  /// Use resuming senders even on a clean wire (survives server restarts).
-  bool resume = false;
 };
 
 struct DriveResult {
   std::uint64_t packets_sent = 0;
   double send_seconds = 0.0;   ///< wall time for the send fan-out
   double total_seconds = 0.0;  ///< send + settle
-  bool settled = false;        ///< everything sent was accounted for
+  bool settled = false;        ///< every stream consumed, queues empty
   wire::Stats before;          ///< server counters when the drive began
   wire::Stats after;           ///< ... and after settling
-  // Resilience accounting (resume/chaos mode only; zero otherwise).
+  // Resilience accounting, summed over the senders (ResumeResult).
   std::uint64_t reconnects = 0;
   std::uint64_t resumes = 0;
   std::uint64_t packets_skipped = 0;
 };
 
-/// Synthesises the streams for @p config and drives them; see file header.
-/// @throws std::runtime_error on connect failure.
+/// Synthesises the streams for @p config and drives them through
+/// send_streams_resuming, one sender per connection; see file header.
+/// Never throws on connect failure: the observer retries for ~5 s and the
+/// senders until settle_timeout, and an unreachable or unsettled server
+/// reports settled = false.
 DriveResult drive_load(const DriveConfig& config);
 
 /// Same, over caller-provided per-session streams (streams.size() sessions):

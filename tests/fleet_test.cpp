@@ -95,13 +95,15 @@ TEST(ModelRegistry, LruKeepsHotModelsAndCountsTraffic) {
         return std::make_shared<const core::UserModel>();
       },
       /*capacity=*/2);
-  const auto m1 = registry.acquire(1);
-  registry.acquire(2);
-  registry.acquire(1);  // 1 becomes most-recent
-  registry.acquire(3);  // evicts 2
+  const auto m1 = registry.try_acquire(1).model;
+  for (int user : {2, 1, 3}) {  // 1 becomes most-recent, 3 evicts 2
+    const auto lease = registry.try_acquire(user);
+    EXPECT_NE(lease.model, nullptr);
+    EXPECT_EQ(lease.status, ModelRegistry::AcquireStatus::kLoaded);
+  }
   EXPECT_EQ(registry.resident(), 2u);
   EXPECT_EQ(registry.evictions(), 1u);
-  registry.acquire(2);  // miss: reloads
+  EXPECT_NE(registry.try_acquire(2).model, nullptr);  // miss: reloads
   EXPECT_EQ(loads.load(), 4);
   EXPECT_EQ(registry.hits(), 1u);
   EXPECT_EQ(registry.misses(), 4u);
@@ -114,7 +116,9 @@ TEST(ModelRegistry, ValidatesConstructionAndProvider) {
   EXPECT_THROW(ModelRegistry(ok, 0), std::invalid_argument);
   ModelRegistry broken([](int) { return std::shared_ptr<const core::UserModel>(); },
                        2);
-  EXPECT_THROW(broken.acquire(1), std::runtime_error);
+  const auto lease = broken.try_acquire(1);
+  EXPECT_EQ(lease.model, nullptr);
+  EXPECT_EQ(lease.status, ModelRegistry::AcquireStatus::kLoadFailed);
 }
 
 // --- circuit breaker --------------------------------------------------------

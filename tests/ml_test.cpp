@@ -5,7 +5,6 @@
 #include <random>
 
 #include "ml/codegen.hpp"
-#include "ml/crossval.hpp"
 #include "ml/dataset.hpp"
 #include "ml/metrics.hpp"
 #include "ml/scaler.hpp"
@@ -250,24 +249,6 @@ TEST(Metrics, AverageIsPerSubjectNotPooled) {
   const auto avg = average_metrics(std::vector<ConfusionMatrix>{s1, s2});
   EXPECT_DOUBLE_EQ(avg.accuracy, 0.75);
   EXPECT_DOUBLE_EQ(avg.fp_rate, 0.5);  // (0 + 1) / 2
-}
-
-// --- cross-validation -----------------------------------------------------------
-
-TEST(CrossVal, StratifiedFoldsScoreSeparableData) {
-  const Dataset data = make_blobs(60, 3, 2.0, 0.5, 20);
-  const auto result =
-      cross_validate(data, DcdTrainer{}, TrainConfig{}, 5, 1);
-  EXPECT_EQ(result.folds, 5u);
-  EXPECT_GT(result.mean.accuracy, 0.97);
-}
-
-TEST(CrossVal, ValidatesArguments) {
-  const Dataset data = make_blobs(10, 2, 1.0, 0.5, 21);
-  EXPECT_THROW(cross_validate(data, DcdTrainer{}, TrainConfig{}, 1, 1),
-               std::invalid_argument);
-  EXPECT_THROW(cross_validate(data, DcdTrainer{}, TrainConfig{}, 11, 1),
-               std::invalid_argument);
 }
 
 // --- codegen --------------------------------------------------------------------

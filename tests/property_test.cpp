@@ -18,7 +18,6 @@
 #include "ml/metrics.hpp"
 #include "ml/scaler.hpp"
 #include "ml/svm.hpp"
-#include "signal/normalize.hpp"
 #include "signal/stats.hpp"
 
 namespace sift {
@@ -237,6 +236,40 @@ TEST(SpanOverloads, ScalerAndSvmSpanPathsMatchVectorPaths) {
 
 // --- normalisation properties -------------------------------------------------------
 
+// The per-window min-max normaliser the portrait applies to each channel,
+// read back as the ECG coordinate of every trajectory point.
+std::vector<double> portrait_normalize(const std::vector<double>& xs) {
+  core::PortraitInput in;
+  in.ecg = xs;
+  in.abp = xs;
+  const core::Portrait portrait(in);
+  std::vector<double> out;
+  for (const core::Point& pt : portrait.points()) out.push_back(pt.y);
+  return out;
+}
+
+TEST(Normalize, MinMaxMapsToUnitInterval) {
+  const auto out = portrait_normalize({-2.0, 0.0, 2.0});
+  EXPECT_DOUBLE_EQ(out[0], 0.0);
+  EXPECT_DOUBLE_EQ(out[1], 0.5);
+  EXPECT_DOUBLE_EQ(out[2], 1.0);
+}
+
+TEST(Normalize, ConstantSignalMapsToMidpoint) {
+  const auto out = portrait_normalize({3.0, 3.0, 3.0});
+  for (double v : out) EXPECT_DOUBLE_EQ(v, 0.5);
+}
+
+TEST(Normalize, MinMaxIsInvariantToAffineTransform) {
+  // Core SIFT property: portraits are gain/offset independent.
+  const std::vector<double> xs{0.1, 0.9, 0.4, 0.7};
+  std::vector<double> scaled;
+  for (double x : xs) scaled.push_back(250.0 * x - 42.0);
+  const auto a = portrait_normalize(xs);
+  const auto b = portrait_normalize(scaled);
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-12);
+}
+
 class NormalizeSweepTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(NormalizeSweepTest, MinMaxIsIdempotent) {
@@ -244,8 +277,8 @@ TEST_P(NormalizeSweepTest, MinMaxIsIdempotent) {
   std::uniform_real_distribution<double> u(-100.0, 100.0);
   std::vector<double> xs;
   for (int i = 0; i < 64; ++i) xs.push_back(u(rng));
-  const auto once = signal::min_max_normalize(xs);
-  const auto twice = signal::min_max_normalize(once);
+  const auto once = portrait_normalize(xs);
+  const auto twice = portrait_normalize(once);
   for (std::size_t i = 0; i < once.size(); ++i) {
     EXPECT_NEAR(once[i], twice[i], 1e-12);
   }
@@ -256,7 +289,7 @@ TEST_P(NormalizeSweepTest, MinMaxPreservesOrdering) {
   std::uniform_real_distribution<double> u(-5.0, 5.0);
   std::vector<double> xs;
   for (int i = 0; i < 32; ++i) xs.push_back(u(rng));
-  const auto out = signal::min_max_normalize(xs);
+  const auto out = portrait_normalize(xs);
   for (std::size_t i = 0; i < xs.size(); ++i) {
     for (std::size_t j = 0; j < xs.size(); ++j) {
       if (xs[i] < xs[j]) {

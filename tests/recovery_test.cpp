@@ -345,7 +345,8 @@ TEST_F(RecoveryTest, KillAtAnyPointRecoversExactlyOnce) {
       // below is the property that matters, not the snapshot's timing.)
       EXPECT_TRUE(recovered.checkpoint_loaded);
     }
-    replay_resume(engine, *fixture_, recovered.cursors, &injector);
+    replay_through(engine, *fixture_, /*producers=*/1, &injector,
+                   recovered.cursors);
     durability.flush();
 
     RunArtifacts got;
@@ -354,6 +355,74 @@ TEST_F(RecoveryTest, KillAtAnyPointRecoversExactlyOnce) {
     got.journal = journal_by_user(dir.path);
     expect_matches_control(got, want, "kill " + std::to_string(k));
   }
+}
+
+// The resume feed is the ordinary multi-producer replay: killed after a
+// checkpoint, the restart re-feeds the suffix from 4 producer threads, and
+// since each session stays on one producer the per-user outcome and journal
+// still match the single-producer control bit for bit. Only the packets at
+// or above the recovered cursors are offered.
+TEST_F(RecoveryTest, MultiProducerResumeMatchesControl) {
+  ScopedDir control_dir("control_multi");
+  const RunArtifacts want = control_run(control_dir.path);
+  const std::size_t steps = fixture_->session_packets(0).size();
+
+  ScopedDir dir("multi");
+  {
+    FaultInjector injector(fault_config());
+    durable::DurabilityConfig dc;
+    dc.journal.flush_interval = std::chrono::hours{24};
+    durable::Durability durability(dir.path, dc);
+    FleetConfig config = engine_config();
+    config.injector = &injector;
+    config.durability = &durability;
+    FleetEngine engine(fixture_->provider(), config);
+    feed_steps(engine, injector, &durability, 0, steps / 2,
+               /*checkpoint_every=*/5);
+    engine.drain();
+    // The kill loses every segment's whole un-barriered tail.
+    for (std::size_t seg = 0; seg < durability.segment_count(); ++seg) {
+      const std::uint64_t barrier = durability.journal_barrier_bytes(seg);
+      const std::uint64_t durable = durability.journal(seg).durable_bytes();
+      ASSERT_GE(durable, barrier);
+      durability.journal(seg).simulate_crash(
+          static_cast<std::size_t>(durable - barrier), 0);
+    }
+  }
+
+  FaultInjector injector(fault_config());
+  durable::Durability durability(dir.path);
+  FleetConfig config = engine_config();
+  config.injector = &injector;
+  config.durability = &durability;
+  FleetEngine engine(fixture_->provider(), config);
+  const durable::RecoveryResult recovered = durability.recover_into(engine);
+  ASSERT_TRUE(recovered.checkpoint_loaded);
+  ASSERT_GT(recovered.sessions_restored, 0u);
+
+  std::uint64_t at_or_above = 0;
+  for (std::size_t s = 0; s < fixture_->sessions(); ++s) {
+    const auto it = recovered.cursors.find(static_cast<int>(s));
+    for (const wiot::Packet& packet : fixture_->session_packets(s)) {
+      const std::uint32_t cursor =
+          it == recovered.cursors.end() ? 0
+          : packet.kind == wiot::ChannelKind::kEcg ? it->second.ecg
+                                                   : it->second.abp;
+      if (packet.seq >= cursor) ++at_or_above;
+    }
+  }
+  const ReplayResult resumed = replay_through(
+      engine, *fixture_, /*producers=*/4, &injector, recovered.cursors);
+  durability.flush();
+  EXPECT_EQ(resumed.packets_offered, at_or_above);
+  EXPECT_LT(resumed.packets_offered, fixture_->total_packets())
+      << "the checkpoint covers a prefix, so some packets are skipped";
+
+  RunArtifacts got;
+  got.outcomes = collect(engine);
+  got.rejects = collect_rejects(engine);
+  got.journal = journal_by_user(dir.path);
+  expect_matches_control(got, want, "4-producer resume");
 }
 
 // Cold start: verdicts were journaled but no checkpoint was ever taken.
@@ -391,7 +460,8 @@ TEST_F(RecoveryTest, JournalOnlyRecoveryIsExactlyOnce) {
   EXPECT_FALSE(recovered.checkpoint_loaded);
   EXPECT_EQ(recovered.sessions_restored, 0u);
   EXPECT_GT(recovered.frames_replayed, 0u);
-  replay_resume(engine, *fixture_, recovered.cursors, &injector);
+  replay_through(engine, *fixture_, /*producers=*/1, &injector,
+                 recovered.cursors);
   durability.flush();
 
   RunArtifacts got;
@@ -489,7 +559,8 @@ TEST_F(RecoveryTest, CorruptCheckpointFallsBackToPreviousGeneration) {
       << "checkpoint.prev must still be usable";
   EXPECT_EQ(recovered.checkpoints_refused, 1u) << "the flipped checkpoint.bin";
   EXPECT_GT(recovered.sessions_restored, 0u);
-  replay_resume(engine, *fixture_, recovered.cursors, &injector);
+  replay_through(engine, *fixture_, /*producers=*/1, &injector,
+                 recovered.cursors);
   durability.flush();
 
   RunArtifacts got;

@@ -6,11 +6,8 @@
 #include <vector>
 
 #include "signal/filters.hpp"
-#include "signal/normalize.hpp"
-#include "signal/resample.hpp"
 #include "signal/series.hpp"
 #include "signal/stats.hpp"
-#include "signal/window.hpp"
 
 namespace sift::signal {
 namespace {
@@ -116,42 +113,6 @@ TEST(Stats, RunningStatsMatchesBatch) {
   EXPECT_EQ(rs.count(), xs.size());
 }
 
-// --- normalize -------------------------------------------------------------------
-
-TEST(Normalize, MinMaxMapsToUnitInterval) {
-  const auto out = min_max_normalize(std::vector<double>{-2.0, 0.0, 2.0});
-  EXPECT_DOUBLE_EQ(out[0], 0.0);
-  EXPECT_DOUBLE_EQ(out[1], 0.5);
-  EXPECT_DOUBLE_EQ(out[2], 1.0);
-}
-
-TEST(Normalize, ConstantSignalMapsToMidpoint) {
-  const auto out = min_max_normalize(std::vector<double>{3.0, 3.0, 3.0});
-  for (double v : out) EXPECT_DOUBLE_EQ(v, 0.5);
-}
-
-TEST(Normalize, MinMaxIsInvariantToAffineTransform) {
-  // Core SIFT property: portraits are gain/offset independent.
-  const std::vector<double> xs{0.1, 0.9, 0.4, 0.7};
-  std::vector<double> scaled;
-  for (double x : xs) scaled.push_back(250.0 * x - 42.0);
-  const auto a = min_max_normalize(xs);
-  const auto b = min_max_normalize(scaled);
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-12);
-}
-
-TEST(Normalize, ZScoreHasZeroMeanUnitVariance) {
-  const auto out =
-      z_score_normalize(std::vector<double>{1.0, 2.0, 3.0, 4.0, 10.0});
-  EXPECT_NEAR(mean(out), 0.0, 1e-12);
-  EXPECT_NEAR(variance(out), 1.0, 1e-12);
-}
-
-TEST(Normalize, ZScoreConstantIsAllZero) {
-  const auto out = z_score_normalize(std::vector<double>{5.0, 5.0});
-  for (double v : out) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
 // --- filters --------------------------------------------------------------------
 
 TEST(Filters, LowPassAttenuatesHighFrequency) {
@@ -222,79 +183,6 @@ TEST(Filters, MovingWindowIntegralRejectsZeroWindow) {
 TEST(Filters, MovingAveragePreservesConstant) {
   const auto out = moving_average(std::vector<double>(15, 7.0), 5);
   for (double v : out) EXPECT_DOUBLE_EQ(v, 7.0);
-}
-
-// --- resample ------------------------------------------------------------------
-
-TEST(Resample, DownsamplePreservesLinearSignal) {
-  Series s(100.0);
-  for (int i = 0; i < 200; ++i) s.push_back(0.5 * i);
-  const Series out = resample_linear(s, 50.0);
-  ASSERT_GT(out.size(), 0u);
-  EXPECT_DOUBLE_EQ(out.sample_rate_hz(), 50.0);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_NEAR(out[i], 0.5 * (i * 2.0), 1e-9);
-  }
-}
-
-TEST(Resample, UpsampleInterpolatesBetweenSamples) {
-  Series s(1.0, {0.0, 10.0});
-  const Series out = resample_linear(s, 4.0);
-  ASSERT_GE(out.size(), 4u);
-  EXPECT_NEAR(out[1], 2.5, 1e-9);
-  EXPECT_NEAR(out[2], 5.0, 1e-9);
-}
-
-TEST(Resample, RejectsBadRateAndHandlesDegenerates) {
-  Series s(10.0, {1.0});
-  EXPECT_THROW(resample_linear(s, 0.0), std::invalid_argument);
-  const Series single = resample_linear(s, 20.0);
-  EXPECT_EQ(single.size(), 1u);
-  const Series empty = resample_linear(Series(10.0), 20.0);
-  EXPECT_TRUE(empty.empty());
-}
-
-// --- window cursor ---------------------------------------------------------------
-
-TEST(WindowCursor, CountsNonOverlappingWindows) {
-  Series ecg(360.0, std::vector<double>(4320, 0.0));  // 12 s
-  Series abp(360.0, std::vector<double>(4320, 1.0));
-  WindowCursor cursor(ecg, abp, 1080, 1080);
-  EXPECT_EQ(cursor.count(), 4u);
-  std::size_t n = 0;
-  while (auto w = cursor.next()) {
-    EXPECT_EQ(w->ecg.size(), 1080u);
-    EXPECT_EQ(w->start_index, n * 1080);
-    ++n;
-  }
-  EXPECT_EQ(n, 4u);
-}
-
-TEST(WindowCursor, OverlappingStrideYieldsMoreWindows) {
-  Series ecg(360.0, std::vector<double>(2160, 0.0));
-  Series abp(360.0, std::vector<double>(2160, 0.0));
-  WindowCursor cursor(ecg, abp, 1080, 540);
-  EXPECT_EQ(cursor.count(), 3u);
-  EXPECT_EQ(cursor.window_at(2).start_index, 1080u);
-  EXPECT_THROW(cursor.window_at(3), std::out_of_range);
-}
-
-TEST(WindowCursor, RejectsMismatchedInputs) {
-  Series a(360.0, std::vector<double>(100, 0.0));
-  Series b(360.0, std::vector<double>(99, 0.0));
-  Series c(250.0, std::vector<double>(100, 0.0));
-  EXPECT_THROW(WindowCursor(a, b, 10, 10), std::invalid_argument);
-  EXPECT_THROW(WindowCursor(a, c, 10, 10), std::invalid_argument);
-  Series d(360.0, std::vector<double>(100, 0.0));
-  EXPECT_THROW(WindowCursor(a, d, 0, 10), std::invalid_argument);
-}
-
-TEST(WindowCursor, ShortTraceYieldsNoWindows) {
-  Series a(360.0, std::vector<double>(10, 0.0));
-  Series b(360.0, std::vector<double>(10, 0.0));
-  WindowCursor cursor(a, b, 100, 100);
-  EXPECT_EQ(cursor.count(), 0u);
-  EXPECT_FALSE(cursor.next().has_value());
 }
 
 }  // namespace

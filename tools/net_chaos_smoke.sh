@@ -55,11 +55,11 @@ drive() { # $1=sock $2=out extra: chaos flags
     --rate "$RATE" --settle-timeout-ms "$SETTLE_MS" "$@" >"$out"
 }
 
-echo "== control: uninterrupted serve + clean resume drive =="
+echo "== control: uninterrupted serve + clean drive =="
 CSOCK="$WORK/control.sock"
 start_serve "$CSOCK" "$WORK/ckpt_control" "$WORK/control.log"
 wait_sock "$CSOCK" "$WORK/control.log"
-drive "$CSOCK" "$WORK/control_drive.out" --resume
+drive "$CSOCK" "$WORK/control_drive.out"
 kill -TERM "$SERVE_PID"; wait "$SERVE_PID" || true; SERVE_PID=""
 "$SIFTCTL" journal-dump "$WORK/ckpt_control" >"$WORK/control.journal"
 

@@ -57,6 +57,11 @@ m = re.search(r"drive: sent=(\d+) accepted=(\d+) rejected=(\d+) "
               r"windows=(\d+)", drive)
 assert m, f"unparseable drive output: {drive!r}"
 sent, accepted, rejected, windows = map(int, m.groups())
+# The drive's only sender resumes from the server's cursors after a wire
+# error; on this clean wire it must send every packet exactly once.
+m = re.search(r"reconnects=(\d+) resumes=\d+ skipped=(\d+)", drive)
+assert m, f"unparseable drive output: {drive!r}"
+reconnects, skipped = map(int, m.groups())
 
 failures = []
 def check(name, got, want):
@@ -67,6 +72,8 @@ def check(name, got, want):
 
 check("drive accepted == sent", accepted, sent)
 check("drive rejected", rejected, 0)
+check("drive reconnects", reconnects, 0)
+check("drive packets skipped", skipped, 0)
 check("served windows == golden windows",
       served["fleet.windows_classified"],
       golden["fleet.windows_classified"])

@@ -153,12 +153,10 @@ int usage() {
                "        [--chaos-net SEED]  run every connection through a\n"
                "                         deterministic wire-fault shim\n"
                "                         (partial writes, stalls, resets,\n"
-               "                         mid-frame kills) with reconnect-\n"
-               "                         with-resume senders\n"
-               "        [--resume]       resuming senders on a clean wire\n"
-               "                         (survives gateway restarts)\n"
-               "        exits nonzero unless every packet sent was accounted\n"
-               "        for by the server\n"
+               "                         mid-frame kills)\n"
+               "        senders reconnect and resume from the server's\n"
+               "        cursors after a wire error or gateway restart;\n"
+               "        exits nonzero unless every stream was consumed\n"
                "  journal-dump <dir>    print a checkpoint dir's merged\n"
                "                        verdict journal, one line per\n"
                "                        record in per-user seq order\n");
@@ -265,6 +263,26 @@ struct CohortRunArgs {
   std::string archives_dir;
   std::string store_dir;  // train only
   cohort::CohortConfig config;
+  std::vector<int> ids;  ///< open(): the archives' user ids, ascending
+  std::unique_ptr<cohort::CachingArchiveSource> archives;  ///< open()
+
+  /// Lists the archive directory and puts the LRU in front of it. False
+  /// (after saying why) when it holds no archives.
+  bool open(const char* cmd) {
+    ids = list_archive_ids(archives_dir);
+    if (ids.empty()) {
+      std::fprintf(stderr, "%s: no uNNNNNN.arc files in %s\n", cmd,
+                   archives_dir.c_str());
+      return false;
+    }
+    archives = std::make_unique<cohort::CachingArchiveSource>(
+        [dir = archives_dir](int user_id) {
+          return io::read_file_bytes(dir + "/" + archive_name(user_id));
+        },
+        std::max<std::size_t>(16,
+                              config.workers * (config.donors_per_user + 2)));
+    return true;
+  }
 };
 
 std::optional<CohortRunArgs> parse_cohort_run(
@@ -305,51 +323,29 @@ void print_cohort_stats(const cohort::CohortStats& stats, double elapsed_s) {
 }
 
 int cmd_cohort_extract(std::span<const std::string> args) {
-  const auto run = parse_cohort_run(args, /*wants_store=*/false);
+  auto run = parse_cohort_run(args, /*wants_store=*/false);
   if (!run) return usage();
-  const auto ids = list_archive_ids(run->archives_dir);
-  if (ids.empty()) {
-    std::fprintf(stderr, "cohort extract: no uNNNNNN.arc files in %s\n",
-                 run->archives_dir.c_str());
-    return 1;
-  }
-  cohort::CachingArchiveSource archives(
-      [dir = run->archives_dir](int user_id) {
-        return io::read_file_bytes(dir + "/" + archive_name(user_id));
-      },
-      std::max<std::size_t>(
-          16, run->config.workers * (run->config.donors_per_user + 2)));
-  cohort::CohortTrainer trainer(archives.as_source(), run->config);
+  if (!run->open("cohort extract")) return 1;
+  cohort::CohortTrainer trainer(run->archives->as_source(), run->config);
   const auto start = std::chrono::steady_clock::now();
-  const auto stats = trainer.extract_only(ids);
+  const auto stats = trainer.extract_only(run->ids);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   std::printf("cohort extract: %zu users over %zu worker(s) in %.2f s\n",
-              ids.size(), run->config.workers, secs);
+              run->ids.size(), run->config.workers, secs);
   print_cohort_stats(stats, secs);
   return 0;
 }
 
 int cmd_cohort_train(std::span<const std::string> args) {
-  const auto run = parse_cohort_run(args, /*wants_store=*/true);
+  auto run = parse_cohort_run(args, /*wants_store=*/true);
   if (!run) return usage();
-  const auto ids = list_archive_ids(run->archives_dir);
-  if (ids.empty()) {
-    std::fprintf(stderr, "cohort train: no uNNNNNN.arc files in %s\n",
-                 run->archives_dir.c_str());
-    return 1;
-  }
-  cohort::CachingArchiveSource archives(
-      [dir = run->archives_dir](int user_id) {
-        return io::read_file_bytes(dir + "/" + archive_name(user_id));
-      },
-      std::max<std::size_t>(
-          16, run->config.workers * (run->config.donors_per_user + 2)));
-  cohort::CohortTrainer trainer(archives.as_source(), run->config);
+  if (!run->open("cohort train")) return 1;
+  cohort::CohortTrainer trainer(run->archives->as_source(), run->config);
   const cohort::ModelStore store(run->store_dir);
   const auto start = std::chrono::steady_clock::now();
-  const auto stats = trainer.train(ids, store);
+  const auto stats = trainer.train(run->ids, store);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -590,6 +586,48 @@ int cmd_profile(std::span<const std::string> args) {
   return 0;
 }
 
+/// Detection models from a `cohort train` store: users map onto the
+/// manifest round-robin, so any number of sessions can share it.
+struct StoreModels {
+  std::string dir;
+  std::vector<int> manifest;
+  fleet::TieredModelProvider provider;
+
+  /// Returns nullopt (after saying why) when @p dir has no manifest;
+  /// otherwise sizes @p config's model cache to hold the whole manifest.
+  static std::optional<StoreModels> open(const char* cmd,
+                                         const std::string& dir,
+                                         fleet::FleetConfig& config) {
+    const cohort::ModelStore store(dir);
+    StoreModels models{dir, store.read_manifest(), {}};
+    if (models.manifest.empty()) {
+      std::fprintf(stderr, "%s: no manifest in %s (run siftctl cohort "
+                   "train first)\n", cmd, dir.c_str());
+      return std::nullopt;
+    }
+    config.model_cache_capacity = models.manifest.size();
+    models.provider = [inner = store.provider(), ids = models.manifest](
+                          int user_id, core::DetectorVersion version) {
+      return inner(ids[static_cast<std::size_t>(user_id) % ids.size()],
+                   version);
+    };
+    return models;
+  }
+
+  /// Loads every manifest model into the registry before traffic starts.
+  void warm_load(const char* cmd, fleet::FleetEngine& engine) const {
+    const auto start = std::chrono::steady_clock::now();
+    const std::size_t warm =
+        engine.models().warm_load(manifest, core::DetectorVersion::kOriginal);
+    std::fprintf(
+        stderr, "%s: warm-loaded %zu/%zu model(s) from %s in %.0f ms\n", cmd,
+        warm, manifest.size(), dir.c_str(),
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+  }
+};
+
 /// Flags `fleet` and `serve` share: engine shape, durability and the model
 /// store.
 struct EngineArgs {
@@ -598,6 +636,10 @@ struct EngineArgs {
   std::size_t checkpoint_interval_ms = 500;
   std::string model_store_dir;
   bool recover = false;
+  std::optional<StoreModels> store;  ///< open_store(): --model-store
+  /// attach_durability(): --checkpoint-dir. Declared before the command's
+  /// engine, so it outlives the engine that journals into it.
+  std::optional<fleet::durable::Durability> durability;
 
   /// Report history bounded to the most one receive() can complete, the
   /// least the engine accepts (it reads back only the reports a receive()
@@ -649,76 +691,76 @@ struct EngineArgs {
     return true;
   }
 
+  /// False (after saying why) when --recover has nothing to recover from.
+  bool valid(const char* cmd) const {
+    if (!recover || !checkpoint_dir.empty()) return true;
+    std::fprintf(stderr, "%s: --recover needs --checkpoint-dir\n", cmd);
+    return false;
+  }
+
+  /// --model-store: opens the store, sizing the model cache to its
+  /// manifest. False (after saying why) when DIR has no manifest.
+  bool open_store(const char* cmd) {
+    if (model_store_dir.empty()) return true;
+    store = StoreModels::open(cmd, model_store_dir, config);
+    return store.has_value();
+  }
+
   /// --checkpoint-dir: creates DIR and journals every verdict into it.
-  void attach_durability(std::optional<fleet::durable::Durability>& out) {
+  void attach_durability() {
     if (checkpoint_dir.empty()) return;
     std::filesystem::create_directories(checkpoint_dir);
-    out.emplace(checkpoint_dir);
-    config.durability = &*out;
+    durability.emplace(checkpoint_dir);
+    config.durability = &*durability;
+  }
+
+  /// Readies a fresh engine: warm-loads the store's manifest, then under
+  /// --recover restores DIR's newest checkpoint (empty result otherwise).
+  fleet::durable::RecoveryResult boot(const char* cmd,
+                                      fleet::FleetEngine& engine) {
+    if (store) store->warm_load(cmd, engine);
+    if (!recover) return {};
+    const auto recovered = durability->recover_into(engine);
+    std::fprintf(stderr,
+                 "%s: recovered %zu session(s) from %s "
+                 "(checkpoint %s, %zu refused, %llu journal frame(s), %llu "
+                 "torn tail(s) truncated)\n",
+                 cmd, recovered.sessions_restored, checkpoint_dir.c_str(),
+                 recovered.checkpoint_loaded ? "loaded" : "absent",
+                 recovered.checkpoints_refused,
+                 static_cast<unsigned long long>(recovered.frames_replayed),
+                 static_cast<unsigned long long>(
+                     recovered.frames_discarded_torn));
+    return recovered;
+  }
+
+  /// Background checkpoint cadence, the way a deployment would run it: the
+  /// snapshot thread races live ingest on purpose (checkpoints are taken
+  /// under the shard locks, so this is safe by construction). Idle without
+  /// a durability layer.
+  std::jthread start_checkpointer(fleet::FleetEngine& engine) {
+    if (!durability) return {};
+    const auto interval = std::chrono::milliseconds(
+        std::max<std::size_t>(1, checkpoint_interval_ms));
+    return std::jthread([d = &*durability, &engine,
+                         interval](std::stop_token stop) {
+      fleet::name_this_thread("sift-ckpt");
+      while (!stop.stop_requested()) {
+        std::this_thread::sleep_for(interval);
+        if (stop.stop_requested()) break;
+        d->checkpoint(engine);
+      }
+    });
+  }
+
+  /// Stops the cadence, then writes the final checkpoint over the drained
+  /// tail.
+  void finish_checkpoints(std::jthread& checkpointer,
+                          fleet::FleetEngine& engine) {
+    checkpointer = {};  // requests stop and joins
+    if (durability) durability->checkpoint(engine);
   }
 };
-
-/// Detection models from a `cohort train` store: users map onto the
-/// manifest round-robin, so any number of sessions can share it.
-struct StoreModels {
-  std::string dir;
-  std::vector<int> manifest;
-  fleet::TieredModelProvider provider;
-
-  /// Returns nullopt (after saying why) when @p dir has no manifest;
-  /// otherwise sizes @p config's model cache to hold the whole manifest.
-  static std::optional<StoreModels> open(const char* cmd,
-                                         const std::string& dir,
-                                         fleet::FleetConfig& config) {
-    const cohort::ModelStore store(dir);
-    StoreModels models{dir, store.read_manifest(), {}};
-    if (models.manifest.empty()) {
-      std::fprintf(stderr, "%s: no manifest in %s (run siftctl cohort "
-                   "train first)\n", cmd, dir.c_str());
-      return std::nullopt;
-    }
-    config.model_cache_capacity = models.manifest.size();
-    models.provider = [inner = store.provider(), ids = models.manifest](
-                          int user_id, core::DetectorVersion version) {
-      return inner(ids[static_cast<std::size_t>(user_id) % ids.size()],
-                   version);
-    };
-    return models;
-  }
-
-  /// Loads every manifest model into the registry before traffic starts.
-  void warm_load(const char* cmd, fleet::FleetEngine& engine) const {
-    const auto start = std::chrono::steady_clock::now();
-    const std::size_t warm =
-        engine.models().warm_load(manifest, core::DetectorVersion::kOriginal);
-    std::fprintf(
-        stderr, "%s: warm-loaded %zu/%zu model(s) from %s in %.0f ms\n", cmd,
-        warm, manifest.size(), dir.c_str(),
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-  }
-};
-
-/// Background checkpoint cadence, the way a deployment would run it: the
-/// snapshot thread races live ingest on purpose (checkpoints are taken
-/// under the shard locks, so this is safe by construction). Idle without
-/// a durability layer.
-std::jthread start_checkpointer(fleet::durable::Durability* durability,
-                                fleet::FleetEngine& engine,
-                                std::size_t interval_ms) {
-  if (durability == nullptr) return {};
-  const auto interval =
-      std::chrono::milliseconds(std::max<std::size_t>(1, interval_ms));
-  return std::jthread([durability, &engine, interval](std::stop_token stop) {
-    fleet::name_this_thread("sift-ckpt");
-    while (!stop.stop_requested()) {
-      std::this_thread::sleep_for(interval);
-      if (stop.stop_requested()) break;
-      durability->checkpoint(engine);
-    }
-  });
-}
 
 int cmd_fleet(std::span<const std::string> args) {
   fleet::ReplayConfig replay;
@@ -747,22 +789,16 @@ int cmd_fleet(std::span<const std::string> args) {
       return usage();
     }
   }
-  if (shared.recover && shared.checkpoint_dir.empty()) {
-    std::fprintf(stderr, "fleet: --recover needs --checkpoint-dir\n");
-    return usage();
-  }
+  if (!shared.valid("fleet")) return usage();
   config.model_cache_capacity = std::max<std::size_t>(1, replay.distinct_users);
   replay.train_all_tiers = chaos;  // chaos exercises the degradation ladder
 
   // With a model store the fixture is only the packet synthesiser, so its
   // own (unused) model training is cut to the minimum the build path
   // accepts.
-  std::optional<StoreModels> store;
-  if (!shared.model_store_dir.empty()) {
-    store = StoreModels::open("fleet", shared.model_store_dir, config);
-    if (!store) return 1;
-    replay.train_seconds = 12.0;
-  }
+  if (!shared.open_store("fleet")) return 1;
+  const auto& store = shared.store;
+  if (store) replay.train_seconds = 12.0;
 
   std::fprintf(stderr,
                "fleet: training %zu model(s)%s, synthesising %zu session(s) "
@@ -799,8 +835,7 @@ int cmd_fleet(std::span<const std::string> args) {
     config.load_shed.high_watermark = config.queue_capacity / 2;
   }
 
-  std::optional<fleet::durable::Durability> durability;
-  shared.attach_durability(durability);
+  shared.attach_durability();
 
   std::optional<fleet::FleetEngine> engine_holder;
   if (store) {
@@ -814,22 +849,7 @@ int cmd_fleet(std::span<const std::string> args) {
     engine_holder.emplace(fixture.provider(), config);
   }
   fleet::FleetEngine& engine = *engine_holder;
-  if (store) store->warm_load("fleet", engine);
-
-  fleet::durable::RecoveryResult recovered;
-  if (shared.recover) {
-    recovered = durability->recover_into(engine);
-    std::fprintf(stderr,
-                 "fleet: recovered %zu session(s) from %s "
-                 "(checkpoint %s, %zu refused, %llu journal frame(s), %llu "
-                 "torn tail(s) truncated)\n",
-                 recovered.sessions_restored, shared.checkpoint_dir.c_str(),
-                 recovered.checkpoint_loaded ? "loaded" : "absent",
-                 recovered.checkpoints_refused,
-                 static_cast<unsigned long long>(recovered.frames_replayed),
-                 static_cast<unsigned long long>(
-                     recovered.frames_discarded_torn));
-  }
+  const fleet::durable::RecoveryResult recovered = shared.boot("fleet", engine);
 
   std::fprintf(stderr,
                "fleet: replaying %zu packets over %zu worker(s), %zu "
@@ -837,19 +857,11 @@ int cmd_fleet(std::span<const std::string> args) {
                fixture.total_packets(), engine.workers(), config.shards,
                fleet::to_string(config.backpressure));
 
-  std::jthread checkpointer = start_checkpointer(
-      config.durability, engine, shared.checkpoint_interval_ms);
-  const auto result =
-      shared.recover
-          ? fleet::replay_resume(engine, fixture, recovered.cursors,
-                                 injector.get())
-          : fleet::replay_through(engine, fixture, producers, injector.get());
-  if (checkpointer.joinable()) {
-    checkpointer.request_stop();
-    checkpointer.join();
-  }
-  if (durability) {
-    durability->checkpoint(engine);  // final: cover the drained tail
+  std::jthread checkpointer = shared.start_checkpointer(engine);
+  const auto result = fleet::replay_through(engine, fixture, producers,
+                                            injector.get(), recovered.cursors);
+  shared.finish_checkpoints(checkpointer, engine);
+  if (const auto& durability = shared.durability) {
     std::fprintf(stderr,
                  "durable: %llu checkpoint(s), %llu journal bytes over %zu "
                  "segment(s), %llu verdict(s) journaled, %llu "
@@ -944,11 +956,7 @@ int cmd_serve(std::span<const std::string> args) {
       return usage();
     }
   }
-  if (listen.empty()) return usage();
-  if (shared.recover && shared.checkpoint_dir.empty()) {
-    std::fprintf(stderr, "serve: --recover needs --checkpoint-dir\n");
-    return usage();
-  }
+  if (listen.empty() || !shared.valid("serve")) return usage();
   net_config.listen = listen;
   config.model_cache_capacity =
       std::max<std::size_t>(1, replay.distinct_users);
@@ -956,11 +964,10 @@ int cmd_serve(std::span<const std::string> args) {
   // With a model store the gateway trains nothing: models come off disk
   // through the registry (manifest warm-load below), which is what lets a
   // 10k-user gateway start in well under a second.
-  std::optional<StoreModels> store;
+  if (!shared.open_store("serve")) return 1;
+  const auto& store = shared.store;
   std::optional<fleet::ReplayFixture> fixture;
-  if (!shared.model_store_dir.empty()) {
-    store = StoreModels::open("serve", shared.model_store_dir, config);
-    if (!store) return 1;
+  if (store) {
     std::fprintf(stderr, "serve: %zu model(s) from store %s\n",
                  store->manifest.size(), store->dir.c_str());
   } else {
@@ -969,8 +976,7 @@ int cmd_serve(std::span<const std::string> args) {
     fixture.emplace(fleet::ReplayFixture::build_models_only(replay));
   }
 
-  std::optional<fleet::durable::Durability> durability;
-  shared.attach_durability(durability);
+  shared.attach_durability();
 
   // The engine outlives the server — declaration order is the teardown
   // contract.
@@ -981,18 +987,7 @@ int cmd_serve(std::span<const std::string> args) {
     engine_holder.emplace(fixture->provider(), config);
   }
   fleet::FleetEngine& engine = *engine_holder;
-  if (store) store->warm_load("serve", engine);
-
-  if (shared.recover) {
-    const auto recovered = durability->recover_into(engine);
-    std::fprintf(stderr,
-                 "serve: recovered %zu session(s) (checkpoint %s, %zu "
-                 "refused, %llu journal frame(s))\n",
-                 recovered.sessions_restored,
-                 recovered.checkpoint_loaded ? "loaded" : "absent",
-                 recovered.checkpoints_refused,
-                 static_cast<unsigned long long>(recovered.frames_replayed));
-  }
+  shared.boot("serve", engine);
 
   net::NetServer server(engine, net_config);
   server.start();
@@ -1002,8 +997,7 @@ int cmd_serve(std::span<const std::string> args) {
                server.address().c_str(), engine.workers(), config.shards,
                fleet::to_string(config.backpressure));
 
-  std::jthread checkpointer = start_checkpointer(
-      config.durability, engine, shared.checkpoint_interval_ms);
+  std::jthread checkpointer = shared.start_checkpointer(engine);
 
   g_stop_requested = 0;
   struct sigaction action = {};
@@ -1017,11 +1011,7 @@ int cmd_serve(std::span<const std::string> args) {
   std::fprintf(stderr, "serve: draining...\n");
   server.stop();    // flush buffered frames into the engine, close sockets
   engine.drain();   // classify everything accepted
-  if (checkpointer.joinable()) {
-    checkpointer.request_stop();
-    checkpointer.join();
-  }
-  if (durability) durability->checkpoint(engine);
+  shared.finish_checkpoints(checkpointer, engine);
 
   auto& metrics = engine.metrics();
   std::fprintf(
@@ -1064,10 +1054,6 @@ int cmd_drive(std::span<const std::string> args) {
   bool chaos_net = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& flag = args[i];
-    if (flag == "--resume") {
-      config.resume = true;
-      continue;
-    }
     if (i + 1 >= args.size()) return usage();
     const std::string& value = args[++i];
     if (flag == "--connect") {
