@@ -2,15 +2,14 @@
 //
 // Quantifies the paper's central trade-off at host scale: what the three
 // versions and three arithmetic backends cost per 3-second window, broken
-// into portrait construction, count-matrix binning, and feature math.
+// into portrait construction (normalising and binning the trajectory into
+// the count grid's summary) and feature math.
 // (The on-device cost model lives in bench/table3_resources; these numbers
 // validate its *relative* shape on real hardware.)
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <random>
 #include <vector>
 
 #include "core/count_matrix.hpp"
@@ -40,24 +39,18 @@ core::Portrait make_portrait() {
 }
 
 void BM_PortraitConstruction(benchmark::State& state) {
+  // Rebuilt in a warm arena, as the detector does, so the loop times the
+  // portrait rather than allocator traffic.
   const auto& rec = window_record();
+  core::WindowScratch scratch;
   for (auto _ : state) {
-    core::Portrait p = core::make_window_portrait(rec, 0, rec.ecg.size());
-    benchmark::DoNotOptimize(p.points().data());
+    const core::Portrait& p =
+        core::make_window_portrait_into(rec, 0, rec.ecg.size(), scratch);
+    benchmark::DoNotOptimize(p.sum_squared_counts());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PortraitConstruction);
-
-void BM_CountMatrix(benchmark::State& state) {
-  const core::Portrait p = make_portrait();
-  const auto grid = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    core::CountMatrix m(p, grid);
-    benchmark::DoNotOptimize(m.total_points());
-  }
-}
-BENCHMARK(BM_CountMatrix)->Arg(10)->Arg(50)->Arg(100);
 
 void BM_ExtractFeatures(benchmark::State& state) {
   const core::Portrait p = make_portrait();
@@ -190,23 +183,29 @@ void BM_SimdFivePointDerivative(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdFivePointDerivative)->Apply(registered_levels);
 
-void BM_SimdHist2d(benchmark::State& state) {
+void BM_SimdGridCells(benchmark::State& state) {
+  // Both channels of the window, tiled: the portrait's binning pass.
   const auto& k = sweep_kernels(state);
-  // Interleaved (x, y) pairs in [0, 1): the count-matrix binning layout.
-  std::vector<double> xy(2 * kKernelN);
-  std::mt19937 rng(2017);
-  std::uniform_real_distribution<double> uni(0.0, 1.0);
-  for (auto& v : xy) v = uni(rng);
-  std::vector<std::uint32_t> counts(
-      core::kDefaultGridSize * core::kDefaultGridSize);
+  const auto& rec = window_record();
+  std::vector<double> ecg(kKernelN);
+  std::vector<double> abp(kKernelN);
+  for (std::size_t i = 0; i < ecg.size(); ++i) {
+    ecg[i] = rec.ecg[i % rec.ecg.size()];
+    abp[i] = rec.abp[i % rec.abp.size()];
+  }
+  const auto me = simd::min_max(ecg);
+  const auto ma = simd::min_max(abp);
+  std::vector<std::uint32_t> cells(kKernelN);
   for (auto _ : state) {
-    std::fill(counts.begin(), counts.end(), 0u);
-    k.hist2d(xy.data(), kKernelN, core::kDefaultGridSize, counts.data());
-    benchmark::DoNotOptimize(counts.data());
+    k.grid_cells(abp.data(), ecg.data(), ma.min, ma.max - ma.min, me.min,
+                 me.max - me.min, core::kDefaultGridSize, cells.data(),
+                 cells.size());
+    benchmark::DoNotOptimize(cells.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * kKernelN);
 }
-BENCHMARK(BM_SimdHist2d)->Apply(registered_levels);
+BENCHMARK(BM_SimdGridCells)->Apply(registered_levels);
 
 }  // namespace
 

@@ -80,7 +80,8 @@ void SiftApp::on_feature_extraction(std::size_t window_index) {
   const std::size_t start = window_index * window_samples_;
 
   const core::Portrait portrait =
-      core::make_window_portrait(prestored_, start, window_samples_);
+      core::make_window_portrait(prestored_, start, window_samples_,
+                                 model_.config.grid_n);
   const core::CountMatrix matrix(portrait, model_.config.grid_n);
 
   // Classification uses the configured on-device arithmetic; the op counts

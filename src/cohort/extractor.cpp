@@ -90,7 +90,7 @@ void FeatureRowExtractor::set_window(std::span<const double> ecg,
   in.r_peaks = r_peaks;
   in.sys_peaks = sys_peaks;
   in.sample_rate_hz = sample_rate_hz;
-  scratch_.portrait.rebuild(in);
+  scratch_.portrait.rebuild(in, grid_n_);
   scratch_.matrix.rebuild(scratch_.portrait, grid_n_);
 }
 

@@ -3,51 +3,33 @@
 #include <cstddef>
 #include <stdexcept>
 
-#include "simd/simd.hpp"
-
 namespace sift::core {
 
 void CountMatrix::rebuild(const Portrait& portrait, std::size_t n) {
   if (n == 0) throw std::invalid_argument("CountMatrix: n must be positive");
+  if (n != portrait.grid_n()) {
+    throw std::invalid_argument(
+        "CountMatrix: n differs from the portrait's grid");
+  }
   n_ = n;
-  counts_.assign(n_ * n_, 0);  // reuses capacity once warm
-  // Portrait points are interleaved (x, y) double pairs, exactly the
-  // layout the 2-D histogram kernel bins: i = trunc(clamp(x * n, 0,
-  // n - 1)), so x == 1.0 lands in the last column as before.
-  static_assert(sizeof(Point) == 2 * sizeof(double) &&
-                    offsetof(Point, y) == sizeof(double),
-                "Point must be an interleaved (x, y) double pair");
-  const std::vector<Point>& pts = portrait.points();
-  if (!pts.empty()) {
-    simd::active().hist2d(&pts[0].x, pts.size(), n_, counts_.data());
-  }
-  total_ = pts.size();  // every point lands in some cell
-}
-
-void CountMatrix::column_averages_into(std::span<double> out) const {
-  if (out.size() != n_) {
-    throw std::invalid_argument("CountMatrix: column-average span size");
-  }
-  simd::active().column_averages(counts_.data(), n_, out.data());
+  total_ = portrait.total_points();
+  sum_sq_ = portrait.sum_squared_counts();
+  const auto cols = portrait.column_counts();
+  columns_.assign(cols.begin(), cols.end());  // reuses capacity once warm
 }
 
 std::vector<double> CountMatrix::column_averages() const {
-  std::vector<double> avg(n_);
-  column_averages_into(avg);
-  return avg;
-}
-
-std::uint64_t CountMatrix::sum_squared_counts() const noexcept {
-  std::uint64_t s = 0;
-  for (std::uint32_t c : counts_) {
-    s += static_cast<std::uint64_t>(c) * c;
+  std::vector<double> avg;
+  avg.reserve(n_);
+  for (std::uint32_t c : columns_) {
+    avg.push_back(static_cast<double>(c) / static_cast<double>(n_));
   }
-  return s;
+  return avg;
 }
 
 double CountMatrix::spatial_filling_index() const noexcept {
   if (total_ == 0) return 0.0;
-  return static_cast<double>(sum_squared_counts()) /
+  return static_cast<double>(sum_sq_) /
          (static_cast<double>(total_) * static_cast<double>(total_));
 }
 

@@ -4,6 +4,11 @@
 //  grid and counting the number of points from the portrait that fall into
 //  each element in the grid ... each element c(i, j) is the number of
 //  points in the corresponding grid element (i, j) ... We chose n = 50."
+//
+// The matrix features read C only through its column counts (the
+// column-average curve) and the sum of its squared cells (the spatial
+// filling index), so this class holds exactly that summary, which the
+// portrait computes while it bins its trajectory.
 #pragma once
 
 #include <cstddef>
@@ -15,44 +20,37 @@
 
 namespace sift::core {
 
-/// Paper's grid resolution.
-inline constexpr std::size_t kDefaultGridSize = 50;
-
 class CountMatrix {
  public:
   /// Empty matrix; rebuild() before use. Exists so a matrix can live inside
-  /// a reusable WindowScratch and recycle its cell storage across windows.
+  /// a reusable WindowScratch and recycle its storage across windows.
   CountMatrix() = default;
 
-  /// Bins the portrait's trajectory points into an n x n grid over the unit
-  /// square (coordinates exactly 1.0 fall into the last cell).
-  /// @throws std::invalid_argument if n == 0.
+  /// The summary of @p portrait's n x n grid.
+  /// @throws std::invalid_argument if n == 0 or n != portrait.grid_n().
   explicit CountMatrix(const Portrait& portrait,
                        std::size_t n = kDefaultGridSize) {
     rebuild(portrait, n);
   }
 
-  /// Re-bins in place. After the first build at a given n, rebuilding at
-  /// the same (or smaller) n performs no heap allocation — the cell
-  /// storage's capacity is retained.
-  /// @throws std::invalid_argument if n == 0.
+  /// Copies the portrait's grid summary in place; after the first build at
+  /// a given n, rebuilding at the same (or smaller) n performs no heap
+  /// allocation.
+  /// @throws std::invalid_argument if n == 0 or n != portrait.grid_n().
   void rebuild(const Portrait& portrait, std::size_t n = kDefaultGridSize);
 
   std::size_t n() const noexcept { return n_; }
   std::size_t total_points() const noexcept { return total_; }
 
-  /// Count in grid cell (i=column along ABP axis, j=row along ECG axis).
-  std::uint32_t at(std::size_t i, std::size_t j) const {
-    return counts_.at(i * n_ + j);
+  /// Points in each grid column i (along the ABP axis), n entries.
+  std::span<const std::uint32_t> column_counts() const noexcept {
+    return columns_;
   }
 
-  /// Column averages: mean count of column i over its n cells — the curve
-  /// whose standard deviation / variance / AUC form the matrix features.
+  /// Column averages: mean count of column i over its n cells,
+  /// column_counts()[i] / n — the curve whose standard deviation /
+  /// variance / AUC form the matrix features.
   std::vector<double> column_averages() const;
-
-  /// Allocation-free variant: writes column i's average into out[i].
-  /// @throws std::invalid_argument unless out.size() == n().
-  void column_averages_into(std::span<double> out) const;
 
   /// Spatial Filling Index: with p(i,j) = c(i,j)/total, the occupancy
   /// concentration  SFI = sum_ij p(i,j)^2.
@@ -66,12 +64,13 @@ class CountMatrix {
 
   /// Raw integer sums used by constrained-arithmetic feature backends:
   /// sum of squared counts (fits 64 bits for any realistic window).
-  std::uint64_t sum_squared_counts() const noexcept;
+  std::uint64_t sum_squared_counts() const noexcept { return sum_sq_; }
 
  private:
   std::size_t n_ = 0;
   std::size_t total_ = 0;
-  std::vector<std::uint32_t> counts_;  // row-major, n_ * n_
+  std::uint64_t sum_sq_ = 0;
+  std::vector<std::uint32_t> columns_;
 };
 
 }  // namespace sift::core

@@ -25,7 +25,7 @@ DetectionResult Detector::classify(const Portrait& portrait,
 
 DetectionResult Detector::classify(const PortraitInput& window,
                                    WindowScratch& scratch) const {
-  scratch.portrait.rebuild(window);
+  scratch.portrait.rebuild(window, model_->config.grid_n);
   return classify(scratch.portrait, scratch);
 }
 
@@ -35,7 +35,7 @@ DetectionResult Detector::classify(const Portrait& portrait) const {
 }
 
 DetectionResult Detector::classify(const PortraitInput& window) const {
-  return classify(Portrait(window));
+  return classify(Portrait(window, model_->config.grid_n));
 }
 
 std::vector<DetectionResult> Detector::classify_record(
@@ -49,7 +49,8 @@ std::vector<DetectionResult> Detector::classify_record(
   WindowScratch scratch;
   for (std::size_t start = 0; start + window <= rec.ecg.size();
        start += window) {
-    make_window_portrait_into(rec, start, window, scratch);
+    make_window_portrait_into(rec, start, window, scratch,
+                              model_->config.grid_n);
     out.push_back(classify(scratch.portrait, scratch));
   }
   return out;

@@ -1,7 +1,7 @@
 #include "core/features.hpp"
 
-#include <array>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 
@@ -125,19 +125,34 @@ S mean_over(const Range& r, F&& f) {
   return sum / Ops::from_double(static_cast<double>(r.size()));
 }
 
+// The column-average curve read straight from the column counts: entry i
+// is column_counts[i] / n, the same double for every reader.
+struct ColumnAverages {
+  std::span<const std::uint32_t> counts;
+  double n = 1.0;
+
+  std::size_t size() const noexcept { return counts.size(); }
+  bool empty() const noexcept { return counts.empty(); }
+  double operator[](std::size_t i) const noexcept {
+    return static_cast<double>(counts[i]) / n;
+  }
+};
+
 template <typename S>
-S mean_of(std::span<const double> xs) {
+S mean_of(const ColumnAverages& f) {
   using Ops = ScalarOps<S>;
-  return mean_over<S>(xs, [](double x) { return Ops::from_double(x); });
+  return mean_over<S>(f.counts, [&f](std::uint32_t c) {
+    return Ops::from_double(static_cast<double>(c) / f.n);
+  });
 }
 
 template <typename S>
-S variance_of(std::span<const double> xs) {
+S variance_of(const ColumnAverages& f) {
   using Ops = ScalarOps<S>;
-  if (xs.empty()) return Ops::from_double(0.0);
-  const S m = mean_of<S>(xs);
-  return mean_over<S>(xs, [&](double x) {
-    const S d = Ops::from_double(x) - m;
+  if (f.empty()) return Ops::from_double(0.0);
+  const S m = mean_of<S>(f);
+  return mean_over<S>(f.counts, [&](std::uint32_t c) {
+    const S d = Ops::from_double(static_cast<double>(c) / f.n) - m;
     return d * d;
   });
 }
@@ -149,7 +164,7 @@ S variance_of(std::span<const double> xs) {
 // versions therefore compute the same value; they differed only in how the
 // device code was written.
 template <typename S>
-S auc_of(std::span<const double> f) {
+S auc_of(const ColumnAverages& f) {
   using Ops = ScalarOps<S>;
   if (f.size() < 2) return Ops::from_double(0.0);
   S sum = Ops::from_double(0.0);
@@ -210,11 +225,6 @@ S spatial_filling_index(const CountMatrix& m) {
   return ScalarOps<S>::from_double(m.spatial_filling_index());
 }
 
-// Column averages are staged once (for mean/variance/AUC to share) in a
-// stack buffer; only grids beyond kColAvgStackCapacity columns — far past
-// the paper's n = 50 — spill to the heap.
-constexpr std::size_t kColAvgStackCapacity = 256;
-
 template <typename S>
 void extract_impl(const Portrait& portrait, const CountMatrix& matrix,
                   DetectorVersion version, FeatureVector& out) {
@@ -222,17 +232,8 @@ void extract_impl(const Portrait& portrait, const CountMatrix& matrix,
   out.clear();
 
   if (version != DetectorVersion::kReduced) {
-    std::array<double, kColAvgStackCapacity> stack;
-    std::vector<double> heap;
-    std::span<double> col_avg;
-    if (matrix.n() <= kColAvgStackCapacity) {
-      col_avg = std::span<double>(stack.data(), matrix.n());
-    } else {
-      heap.resize(matrix.n());
-      col_avg = heap;
-    }
-    matrix.column_averages_into(col_avg);
-
+    const ColumnAverages col_avg{matrix.column_counts(),
+                                 static_cast<double>(matrix.n())};
     out.push_back(Ops::to_double(spatial_filling_index<S>(matrix)));
     if (version == DetectorVersion::kOriginal) {
       out.push_back(

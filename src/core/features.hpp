@@ -86,9 +86,9 @@ const char* to_string(Arithmetic a) noexcept;
 std::vector<std::string> feature_names(DetectorVersion v);
 
 /// Allocation-free extraction into a fixed-capacity feature vector: the
-/// hot-path primitive (grids up to 256 columns stage their column averages
-/// on the stack; larger grids fall back to one heap buffer). Bit-identical
-/// to extract_features on the same inputs. @p out is overwritten.
+/// hot-path primitive (column averages are read from the matrix's column
+/// counts as they are needed, at any grid size). Bit-identical to
+/// extract_features on the same inputs. @p out is overwritten.
 void extract_features_into(const Portrait& portrait, const CountMatrix& matrix,
                            DetectorVersion version, Arithmetic arithmetic,
                            FeatureVector& out);
@@ -102,7 +102,8 @@ std::vector<double> extract_features(const Portrait& portrait,
                                      DetectorVersion version,
                                      Arithmetic arithmetic);
 
-/// Convenience overload that builds the n x n count matrix internally.
+/// Convenience overload that builds the n x n count matrix internally;
+/// @p grid_n must be the grid @p portrait was built at.
 std::vector<double> extract_features(const Portrait& portrait,
                                      DetectorVersion version,
                                      Arithmetic arithmetic = Arithmetic::kDouble,

@@ -39,7 +39,8 @@ class OnlineAdapter {
                 std::vector<std::vector<double>> positive_reservoir,
                 OnlineConfig config = {});
 
-  /// Assimilates one user-confirmed genuine window.
+  /// Assimilates one user-confirmed genuine window, a portrait built at
+  /// the model's grid_n (std::invalid_argument otherwise).
   void assimilate_genuine(const Portrait& portrait);
 
   /// Assimilates a raw feature point with a trusted label (+1/-1) —

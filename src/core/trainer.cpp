@@ -88,7 +88,8 @@ UserModel train_user_model(const physio::Record& wearer,
       for (std::size_t w = 0; w < attacked.window_altered.size(); ++w) {
         if (!attacked.window_altered[w]) continue;
         const Portrait portrait =
-            make_window_portrait(attacked.record, w * window, window);
+            make_window_portrait(attacked.record, w * window, window,
+                                 config.grid_n);
         augmented.push_back(
             {extract_features(portrait, config.version, config.arithmetic,
                               config.grid_n),

@@ -37,19 +37,21 @@ PortraitInput window_input(const physio::Record& rec, std::size_t start,
 }  // namespace
 
 Portrait make_window_portrait(const physio::Record& rec, std::size_t start,
-                              std::size_t len) {
+                              std::size_t len, std::size_t grid_n) {
   const auto r = peaks_in_range(rec.r_peaks, start, len);
   const auto s = peaks_in_range(rec.systolic_peaks, start, len);
-  return Portrait(window_input(rec, start, len, r, s));
+  return Portrait(window_input(rec, start, len, r, s), grid_n);
 }
 
 const Portrait& make_window_portrait_into(const physio::Record& rec,
                                           std::size_t start, std::size_t len,
-                                          WindowScratch& scratch) {
+                                          WindowScratch& scratch,
+                                          std::size_t grid_n) {
   peaks_in_range_into(rec.r_peaks, start, len, scratch.r_peaks);
   peaks_in_range_into(rec.systolic_peaks, start, len, scratch.sys_peaks);
   scratch.portrait.rebuild(
-      window_input(rec, start, len, scratch.r_peaks, scratch.sys_peaks));
+      window_input(rec, start, len, scratch.r_peaks, scratch.sys_peaks),
+      grid_n);
   return scratch.portrait;
 }
 
@@ -64,7 +66,7 @@ std::vector<std::vector<double>> extract_window_features(
   }
   for (std::size_t start = 0; start + window_samples <= rec.ecg.size();
        start += stride_samples) {
-    const Portrait p = make_window_portrait(rec, start, window_samples);
+    const Portrait p = make_window_portrait(rec, start, window_samples, grid_n);
     out.push_back(extract_features(p, version, arithmetic, grid_n));
   }
   return out;

@@ -23,18 +23,20 @@ void peaks_in_range_into(std::span<const std::size_t> peaks, std::size_t start,
 std::vector<std::size_t> peaks_in_range(const std::vector<std::size_t>& peaks,
                                         std::size_t start, std::size_t len);
 
-/// Builds the portrait of one window of @p rec starting at sample @p start.
-/// Uses the record's peak annotations (the paper pre-stored peak indexes;
-/// run-time detection is exercised separately via sift::peaks).
+/// Builds the portrait of one window of @p rec starting at sample @p start,
+/// binned at @p grid_n. Uses the record's peak annotations (the paper
+/// pre-stored peak indexes; run-time detection is exercised separately via
+/// sift::peaks).
 Portrait make_window_portrait(const physio::Record& rec, std::size_t start,
-                              std::size_t len);
+                              std::size_t len,
+                              std::size_t grid_n = kDefaultGridSize);
 
 /// Rebuilds scratch.portrait (and the scratch peak buffers) from one window
 /// of @p rec — the steady-state path classify_record runs: zero heap
 /// allocations once the scratch is warm. Returns scratch.portrait.
-const Portrait& make_window_portrait_into(const physio::Record& rec,
-                                          std::size_t start, std::size_t len,
-                                          WindowScratch& scratch);
+const Portrait& make_window_portrait_into(
+    const physio::Record& rec, std::size_t start, std::size_t len,
+    WindowScratch& scratch, std::size_t grid_n = kDefaultGridSize);
 
 /// Extracts one feature point per stride-spaced window of @p rec.
 std::vector<std::vector<double>> extract_window_features(

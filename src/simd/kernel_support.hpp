@@ -60,13 +60,32 @@ inline void derivative_edge(const double* x, double* out,
   }
 }
 
-/// One histogram bin index from a pre-scaled coordinate v = x * n_grid:
-/// trunc after clamping to [0, n_grid - 1], NaN mapping to 0 — the scalar
-/// twin of max_pd(v, 0) / min_pd(v, n-1) / cvttpd.
-inline std::size_t hist_index(double v, double grid_max) noexcept {
-  double c = v > 0.0 ? v : 0.0;  // NaN compares false -> 0
+/// One grid coordinate of the portrait pass: the min-max normalised value
+/// (the midpoint 0.5 for a degenerate scale <= 0), scaled by the grid side
+/// and truncated after clamping to [0, grid_max], NaN mapping to 0 — the
+/// scalar twin of max_pd(v, 0) / min_pd(v, n-1) / cvttpd.
+inline std::uint32_t grid_coord(double x, double shift, double scale,
+                                double dn, double grid_max) noexcept {
+  const double u = scale <= 0.0 ? 0.5 : (x - shift) / scale;
+  double c = u * dn;
+  c = c > 0.0 ? c : 0.0;  // NaN compares false -> 0
   if (c > grid_max) c = grid_max;
-  return static_cast<std::size_t>(c);
+  return static_cast<std::uint32_t>(c);
+}
+
+/// The reference grid_cells pass (see simd.hpp). The SSE2 table runs it
+/// for degenerate channels and for its tail.
+inline void grid_cells_impl(const double* a, const double* b, double shift_a,
+                            double scale_a, double shift_b, double scale_b,
+                            std::size_t n_grid, std::uint32_t* out,
+                            std::size_t n) noexcept {
+  const double dn = static_cast<double>(n_grid);
+  const double grid_max = static_cast<double>(n_grid - 1);
+  const auto side = static_cast<std::uint32_t>(n_grid);
+  for (std::size_t t = 0; t < n; ++t) {
+    out[t] = grid_coord(a[t], shift_a, scale_a, dn, grid_max) * side +
+             grid_coord(b[t], shift_b, scale_b, dn, grid_max);
+  }
 }
 
 /// Moving-window integration, the one genuinely sequential kernel: the

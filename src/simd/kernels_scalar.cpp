@@ -101,16 +101,6 @@ void normalize01_scalar(const double* x, double shift, double scale,
   for (std::size_t i = 0; i < n; ++i) out[i] = (x[i] - shift) / scale;
 }
 
-void normalize01_interleave2_scalar(const double* a, const double* b,
-                                    double shift_a, double scale_a,
-                                    double shift_b, double scale_b,
-                                    double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[2 * i] = (a[i] - shift_a) / scale_a;
-    out[2 * i + 1] = (b[i] - shift_b) / scale_b;
-  }
-}
-
 void square_scalar(const double* x, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = x[i] * x[i];
 }
@@ -121,27 +111,6 @@ void five_point_derivative_scalar(const double* x, double* out,
   detail::derivative_edge(x, out, edge);
   for (std::size_t i = edge; i < n; ++i) {
     out[i] = (2.0 * x[i] + x[i - 1] - x[i - 3] - 2.0 * x[i - 4]) / 8.0;
-  }
-}
-
-void hist2d_scalar(const double* xy, std::size_t n_points, std::size_t n_grid,
-                   std::uint32_t* counts) {
-  const double dn = static_cast<double>(n_grid);
-  const double grid_max = static_cast<double>(n_grid - 1);
-  for (std::size_t p = 0; p < n_points; ++p) {
-    const std::size_t i = detail::hist_index(xy[2 * p] * dn, grid_max);
-    const std::size_t j = detail::hist_index(xy[2 * p + 1] * dn, grid_max);
-    ++counts[i * n_grid + j];
-  }
-}
-
-void column_averages_scalar(const std::uint32_t* cells, std::size_t n,
-                            double* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t* row = cells + i * n;
-    std::uint64_t sum = 0;
-    for (std::size_t j = 0; j < n; ++j) sum += row[j];
-    out[i] = static_cast<double>(sum) / static_cast<double>(n);
   }
 }
 
@@ -156,12 +125,10 @@ const Kernels& scalar_kernels() noexcept {
       mean_var_scalar,
       scale_shift_scalar,
       normalize01_scalar,
-      normalize01_interleave2_scalar,
       square_scalar,
       five_point_derivative_scalar,
       detail::moving_window_integral_impl,
-      hist2d_scalar,
-      column_averages_scalar,
+      detail::grid_cells_impl,
       detail::masked_mean_var_impl,
       detail::gather_scale_shift_impl,
   };

@@ -136,29 +136,6 @@ void normalize01_sse2(const double* x, double shift, double scale, double* out,
   for (; i < n; ++i) out[i] = (x[i] - shift) / scale;
 }
 
-void normalize01_interleave2_sse2(const double* a, const double* b,
-                                  double shift_a, double scale_a,
-                                  double shift_b, double scale_b, double* out,
-                                  std::size_t n) {
-  const __m128d vsa = _mm_set1_pd(shift_a);
-  const __m128d vca = _mm_set1_pd(scale_a);
-  const __m128d vsb = _mm_set1_pd(shift_b);
-  const __m128d vcb = _mm_set1_pd(scale_b);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d na =
-        _mm_div_pd(_mm_sub_pd(_mm_loadu_pd(a + i), vsa), vca);
-    const __m128d nb =
-        _mm_div_pd(_mm_sub_pd(_mm_loadu_pd(b + i), vsb), vcb);
-    _mm_storeu_pd(out + 2 * i, _mm_unpacklo_pd(na, nb));
-    _mm_storeu_pd(out + 2 * i + 2, _mm_unpackhi_pd(na, nb));
-  }
-  for (; i < n; ++i) {
-    out[2 * i] = (a[i] - shift_a) / scale_a;
-    out[2 * i + 1] = (b[i] - shift_b) / scale_b;
-  }
-}
-
 void square_sse2(const double* x, double* out, std::size_t n) {
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
@@ -188,56 +165,50 @@ void five_point_derivative_sse2(const double* x, double* out, std::size_t n) {
   }
 }
 
-void hist2d_sse2(const double* xy, std::size_t n_points, std::size_t n_grid,
-                 std::uint32_t* counts) {
-  const __m128d vdn = _mm_set1_pd(static_cast<double>(n_grid));
-  const __m128d vzero = _mm_setzero_pd();
-  const __m128d vmax = _mm_set1_pd(static_cast<double>(n_grid - 1));
-  alignas(16) std::int32_t idx[4];
-  std::size_t p = 0;
-  for (; p + 2 <= n_points; p += 2) {
-    // Two (x, y) pairs; MAXPD(v, 0) sends NaN to 0 like hist_index.
-    __m128d v0 = _mm_mul_pd(_mm_loadu_pd(xy + 2 * p), vdn);
-    __m128d v1 = _mm_mul_pd(_mm_loadu_pd(xy + 2 * p + 2), vdn);
-    v0 = _mm_min_pd(_mm_max_pd(v0, vzero), vmax);
-    v1 = _mm_min_pd(_mm_max_pd(v1, vzero), vmax);
-    const __m128i i0 = _mm_cvttpd_epi32(v0);  // {i0, j0, 0, 0}
-    const __m128i i1 = _mm_cvttpd_epi32(v1);  // {i1, j1, 0, 0}
-    _mm_store_si128(reinterpret_cast<__m128i*>(idx),
-                    _mm_unpacklo_epi64(i0, i1));
-    ++counts[static_cast<std::size_t>(idx[0]) * n_grid +
-             static_cast<std::size_t>(idx[1])];
-    ++counts[static_cast<std::size_t>(idx[2]) * n_grid +
-             static_cast<std::size_t>(idx[3])];
-  }
-  const double dn = static_cast<double>(n_grid);
-  const double grid_max = static_cast<double>(n_grid - 1);
-  for (; p < n_points; ++p) {
-    const std::size_t i = detail::hist_index(xy[2 * p] * dn, grid_max);
-    const std::size_t j = detail::hist_index(xy[2 * p + 1] * dn, grid_max);
-    ++counts[i * n_grid + j];
-  }
+// Two samples per step: both channels normalised with the same IEEE ops
+// as the reference, MAXPD(v, 0) sending NaN to 0 like grid_coord, then
+// i * n + j. SSE2 multiplies 32-bit lanes only in the even positions
+// (PMULUDQ), so i is spread to lanes 0 and 2 and the products gathered
+// back; i * n < 2^32, so their high halves are zero.
+inline __m128i grid_pair(__m128d a, __m128d b, __m128d sa, __m128d ca,
+                         __m128d sb, __m128d cb, __m128d dn, __m128d top,
+                         __m128i side) {
+  const __m128d zero = _mm_setzero_pd();
+  const __m128d x = _mm_mul_pd(_mm_div_pd(_mm_sub_pd(a, sa), ca), dn);
+  const __m128d y = _mm_mul_pd(_mm_div_pd(_mm_sub_pd(b, sb), cb), dn);
+  const __m128i i = _mm_cvttpd_epi32(_mm_min_pd(_mm_max_pd(x, zero), top));
+  const __m128i j = _mm_cvttpd_epi32(_mm_min_pd(_mm_max_pd(y, zero), top));
+  constexpr int kEvenOdd = _MM_SHUFFLE(3, 1, 2, 0);
+  const __m128i rows = _mm_shuffle_epi32(
+      _mm_mul_epu32(_mm_shuffle_epi32(i, kEvenOdd), side), kEvenOdd);
+  return _mm_add_epi32(rows, j);  // {k0, k1, 0, 0}
 }
 
-void column_averages_sse2(const std::uint32_t* cells, std::size_t n,
-                          double* out) {
-  const __m128i zero = _mm_setzero_si128();
-  alignas(16) std::uint64_t lanes[2];
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t* row = cells + i * n;
-    __m128i acc = zero;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const __m128i v =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + j));
-      acc = _mm_add_epi64(acc, _mm_unpacklo_epi32(v, zero));
-      acc = _mm_add_epi64(acc, _mm_unpackhi_epi32(v, zero));
+void grid_cells_sse2(const double* a, const double* b, double shift_a,
+                     double scale_a, double shift_b, double scale_b,
+                     std::size_t n_grid, std::uint32_t* out, std::size_t n) {
+  std::size_t t = 0;
+  if (scale_a > 0.0 && scale_b > 0.0) {
+    const __m128d sa = _mm_set1_pd(shift_a);
+    const __m128d ca = _mm_set1_pd(scale_a);
+    const __m128d sb = _mm_set1_pd(shift_b);
+    const __m128d cb = _mm_set1_pd(scale_b);
+    const __m128d dn = _mm_set1_pd(static_cast<double>(n_grid));
+    const __m128d top = _mm_set1_pd(static_cast<double>(n_grid - 1));
+    const __m128i side = _mm_set1_epi32(static_cast<int>(n_grid));
+    for (; t + 4 <= n; t += 4) {
+      const __m128i lo = grid_pair(_mm_loadu_pd(a + t), _mm_loadu_pd(b + t),
+                                   sa, ca, sb, cb, dn, top, side);
+      const __m128i hi =
+          grid_pair(_mm_loadu_pd(a + t + 2), _mm_loadu_pd(b + t + 2), sa, ca,
+                    sb, cb, dn, top, side);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + t),
+                       _mm_unpacklo_epi64(lo, hi));
     }
-    _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-    std::uint64_t sum = lanes[0] + lanes[1];
-    for (; j < n; ++j) sum += row[j];
-    out[i] = static_cast<double>(sum) / static_cast<double>(n);
   }
+  // Degenerate channels (a flatline) and the tail take the reference path.
+  detail::grid_cells_impl(a + t, b + t, shift_a, scale_a, shift_b, scale_b,
+                          n_grid, out + t, n - t);
 }
 
 }  // namespace
@@ -251,12 +222,10 @@ const Kernels& sse2_kernels() noexcept {
       mean_var_sse2,
       scale_shift_sse2,
       normalize01_sse2,
-      normalize01_interleave2_sse2,
       square_sse2,
       five_point_derivative_sse2,
       detail::moving_window_integral_impl,
-      hist2d_sse2,
-      column_averages_sse2,
+      grid_cells_sse2,
       detail::masked_mean_var_impl,
       detail::gather_scale_shift_impl,
   };

@@ -3,8 +3,8 @@
 // Every arithmetic primitive the detection pipeline leans on (dot products,
 // axpy updates, min/max scans, mean/variance, the fused scaler transform,
 // squaring, the Pan-Tompkins FIR derivative and moving-window integration,
-// 2-D histogram binning for the count matrix, and count-matrix column
-// averages) is provided here as a table of kernels. A build carries at most
+// and the portrait's fused normalise-and-bin pass that feeds the matrix
+// features) is provided here as a table of kernels. A build carries at most
 // one vector table: SSE2 on x86-64 (the ISA baseline, so no runtime CPU
 // detection), none elsewhere; the portable scalar table is always present
 // and is the semantic reference. The vector table is the default; the
@@ -56,6 +56,9 @@ Level active_level() noexcept;
 /// benchmarks; not thread-safe against in-flight kernel calls.
 bool set_active_level(Level level) noexcept;
 
+/// Largest grid side grid_cells can index: n^2 cells fit a 32-bit index.
+inline constexpr std::size_t kMaxGridSide = 0xFFFF;
+
 struct MinMax {
   double min = 0.0;
   double max = 0.0;
@@ -90,13 +93,6 @@ struct Kernels {
   /// z-score normalisation). In-place (out == x) allowed.
   void (*normalize01)(const double* x, double shift, double scale,
                       double* out, std::size_t n);
-  /// Fused dual-channel normalise with interleaved (x, y) pair output:
-  /// out[2i] = (a[i] - shift_a) / scale_a, out[2i+1] = (b[i] - shift_b) /
-  /// scale_b — writes portrait trajectory points in one pass.
-  void (*normalize01_interleave2)(const double* a, const double* b,
-                                  double shift_a, double scale_a,
-                                  double shift_b, double scale_b, double* out,
-                                  std::size_t n);
   /// out[i] = x[i]^2. In-place allowed.
   void (*square)(const double* x, double* out, std::size_t n);
   /// Pan-Tompkins 5-point FIR derivative with clamped left edge:
@@ -108,16 +104,17 @@ struct Kernels {
   /// every level by design (see kernels_scalar.cpp). out must not alias x.
   void (*moving_window_integral)(const double* x, std::size_t window,
                                  double* out, std::size_t n);
-  /// 2-D histogram binning over interleaved (x, y) pairs in the unit
-  /// square: i = trunc(clamp(x * n_grid, 0, n_grid - 1)) (NaN -> 0), j
-  /// likewise from y, ++counts[i * n_grid + j]. counts must be pre-zeroed
-  /// (or carry a prior histogram to accumulate into).
-  void (*hist2d)(const double* xy, std::size_t n_points, std::size_t n_grid,
-                 std::uint32_t* counts);
-  /// Count-matrix column averages: out[i] = sum(cells[i*n .. i*n+n)) / n.
-  /// Integer accumulation is exact, so every level matches bit-for-bit.
-  void (*column_averages)(const std::uint32_t* cells, std::size_t n,
-                          double* out);
+  /// The portrait's fused normalise-and-bin pass over one window. For each
+  /// sample t, x = (a[t] - shift_a) / scale_a and y = (b[t] - shift_b) /
+  /// scale_b, a channel whose scale is <= 0 (a degenerate range) mapping
+  /// to the midpoint 0.5; then i = trunc(clamp(x * n_grid, 0, n_grid - 1))
+  /// (NaN -> 0), so x == 1.0 lands in the last column, j likewise from y,
+  /// and out[t] = i * n_grid + j, the cell's row-major index. Integer
+  /// output: every level matches bit-for-bit. Requires
+  /// 1 <= n_grid <= kMaxGridSide.
+  void (*grid_cells)(const double* a, const double* b, double shift_a,
+                     double scale_a, double shift_b, double scale_b,
+                     std::size_t n_grid, std::uint32_t* out, std::size_t n);
   /// Mean and population variance of col[idx[0..n)] — the columnar scaler
   /// fit over a training-set selection. Plain sequential two-pass at every
   /// level BY DESIGN (see kernel_support.hpp): the accumulation order must

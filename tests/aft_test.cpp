@@ -289,8 +289,8 @@ TEST_F(CodegenTest, NonDefaultWindowAndGridParameterise) {
                           test_->abp.data().data() + start, r_arr,
                           static_cast<int>(r.size()), s_arr,
                           static_cast<int>(s.size()));
-    const auto verdict =
-        host.classify(core::make_window_portrait(*test_, start, window));
+    const auto verdict = host.classify(
+        core::make_window_portrait(*test_, start, window, config.grid_n));
     EXPECT_EQ(device == 1, verdict.altered) << "window at " << start;
   }
   dlclose(handle);

@@ -2,6 +2,8 @@
 // harness — the end-to-end core pipeline on a small synthetic cohort.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <span>
 
 #include "alloc_guard.hpp"
@@ -238,10 +240,10 @@ TEST_F(PipelineTest, SteadyStateClassifyIsAllocationFree) {
 }
 
 TEST_F(PipelineTest, SteadyStateClassifyIsAllocationFreeAtEverySimdLevel) {
-  // The kernel rewiring (portrait normalise, hist2d binning, column
-  // averages, scaler, SVM dot) must preserve the zero-steady-state-alloc
-  // invariant at every dispatch level, and every level must produce the
-  // same verdicts.
+  // The kernels on the hot path (the portrait's normalise-and-bin pass,
+  // scaler, SVM dot) must preserve the zero-steady-state-alloc invariant
+  // at every dispatch level, and every level must produce the same
+  // verdicts.
   const Detector detector(train(DetectorVersion::kOriginal));
   const auto& rec = (*testing_)[0];
   WindowScratch scratch;
@@ -273,35 +275,128 @@ TEST_F(PipelineTest, SteadyStateClassifyIsAllocationFreeAtEverySimdLevel) {
 }
 
 TEST_F(PipelineTest, ColumnAveragesIntoIsAllocationFreeAndLevelInvariant) {
-  // CountMatrix::column_averages_into now runs on the integer SIMD kernel:
-  // exact in any order, so every level must agree bit-for-bit, and filling
-  // a caller-provided span must never allocate.
+  // The column-average curve is read straight from the column counts the
+  // portrait's binning pass produces: integers, exact in any order, so
+  // every level must agree bit-for-bit, and rebinning a window, copying
+  // its summary and extracting the matrix features from it must never
+  // allocate once the arena is warm.
   const auto& rec = (*testing_)[0];
   WindowScratch scratch;
-  make_window_portrait_into(rec, 0, 1080, scratch);
-  CountMatrix matrix;
-  matrix.rebuild(scratch.portrait, 50);
+  FeatureVector features;
+  auto extract = [&] {
+    make_window_portrait_into(rec, 0, 1080, scratch);
+    scratch.matrix.rebuild(scratch.portrait, 50);
+    extract_features_into(scratch.portrait, scratch.matrix,
+                          DetectorVersion::kOriginal, Arithmetic::kDouble,
+                          features);
+  };
+  extract();  // warm-up
 
-  std::vector<double> avg(matrix.n());
   const sift::simd::Level before = sift::simd::active_level();
-  std::vector<double> reference;
+  std::vector<double> reference_avg;
+  FeatureVector reference_features;
   for (const sift::simd::Level level : sift::simd::available_levels()) {
     ASSERT_TRUE(sift::simd::set_active_level(level));
     {
       sift::testing::AllocGuard guard;
-      matrix.column_averages_into(avg);
+      extract();
       EXPECT_EQ(guard.count(), 0u)
-          << "column_averages_into allocated at level "
+          << "column summary allocated at level "
           << sift::simd::to_string(level);
     }
-    if (reference.empty()) {
-      reference = avg;
+    const auto avg = scratch.matrix.column_averages();
+    if (reference_avg.empty()) {
+      reference_avg = avg;
+      reference_features = features;
     } else {
-      EXPECT_EQ(avg, reference)
+      EXPECT_EQ(avg, reference_avg)
           << "column averages differ at level " << sift::simd::to_string(level);
+      EXPECT_EQ(features, reference_features)
+          << "matrix features differ at level "
+          << sift::simd::to_string(level);
     }
   }
   ASSERT_TRUE(sift::simd::set_active_level(before));
+}
+
+TEST_F(PipelineTest, MixedGeometriesShareOneArenaBitwise) {
+  // One thread's arena classifies 3 s and 4 s windows (1080 / 1440
+  // samples) for models binned at n = 50 and n = 100, interleaved, so the
+  // portrait changes window length and grid size on a warm arena. Every
+  // verdict must match a fresh arena bit for bit, and once the arena has
+  // seen the largest geometry no window may allocate.
+  struct Case {
+    double window_s;
+    std::size_t grid_n;
+  };
+  const Case cases[] = {{3.0, 50}, {4.0, 100}, {4.0, 50}, {3.0, 100}};
+  std::vector<Detector> detectors;
+  for (const Case& c : cases) {
+    SiftConfig config;
+    config.window_s = c.window_s;
+    config.grid_n = c.grid_n;
+    detectors.emplace_back(train_user_model(
+        (*training_)[0], std::span(*training_).subspan(1), config));
+  }
+  const auto& rec = (*testing_)[0];
+  constexpr std::size_t kStride = 1440;
+  auto classify = [&](std::size_t d, std::size_t start, WindowScratch& arena) {
+    const auto window = static_cast<std::size_t>(
+        cases[d].window_s * physio::kDefaultRateHz + 0.5);
+    make_window_portrait_into(rec, start, window, arena, cases[d].grid_n);
+    return detectors[d].classify(arena.portrait, arena);
+  };
+
+  std::vector<DetectionResult> fresh;
+  for (std::size_t start = 0; start + kStride <= rec.ecg.size();
+       start += kStride) {
+    for (std::size_t d = 0; d < detectors.size(); ++d) {
+      WindowScratch arena;
+      fresh.push_back(classify(d, start, arena));
+    }
+  }
+
+  WindowScratch& arena = thread_scratch();
+  auto interleaved = [&] {
+    std::vector<DetectionResult> out;
+    out.reserve(fresh.size());
+    for (std::size_t start = 0; start + kStride <= rec.ecg.size();
+         start += kStride) {
+      for (std::size_t d = 0; d < detectors.size(); ++d) {
+        out.push_back(classify(d, start, arena));
+      }
+    }
+    return out;
+  };
+  // Warm-up: the arena reaches the largest geometry.
+  std::vector<DetectionResult> steady = interleaved();
+  {
+    sift::testing::AllocGuard guard;
+    std::size_t i = 0;
+    for (std::size_t start = 0; start + kStride <= rec.ecg.size();
+         start += kStride) {
+      for (std::size_t d = 0; d < detectors.size(); ++d) {
+        steady[i++] = classify(d, start, arena);
+      }
+    }
+    EXPECT_EQ(guard.count(), 0u) << "a warm arena allocated";
+  }
+
+  ASSERT_EQ(steady.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    const Case& c = cases[i % std::size(cases)];
+    ASSERT_EQ(steady[i].features.size(), fresh[i].features.size());
+    for (std::size_t f = 0; f < fresh[i].features.size(); ++f) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(steady[i].features[f]),
+                std::bit_cast<std::uint64_t>(fresh[i].features[f]))
+          << "window " << i / std::size(cases) << " at " << c.window_s
+          << " s / n = " << c.grid_n << ", feature " << f;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(steady[i].decision_value),
+              std::bit_cast<std::uint64_t>(fresh[i].decision_value));
+    EXPECT_EQ(steady[i].altered, fresh[i].altered);
+    EXPECT_EQ(steady[i].peak_check_failed, fresh[i].peak_check_failed);
+  }
 }
 
 // --- experiment harness -----------------------------------------------------------

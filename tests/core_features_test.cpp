@@ -9,6 +9,7 @@
 #include "core/features.hpp"
 #include "core/fixed_point.hpp"
 #include "core/portrait.hpp"
+#include "grid_oracle.hpp"
 
 namespace sift::core {
 namespace {
@@ -29,22 +30,42 @@ PortraitInput tiny_input(const std::vector<double>& ecg,
   return in;
 }
 
+/// Every sample index of a window: as R peaks, the portrait reports the
+/// normalised coordinates of the whole trajectory.
+std::vector<std::size_t> every_index(std::size_t n) {
+  std::vector<std::size_t> idx(n);
+  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  return idx;
+}
+
+/// The portrait's grid summary must equal the full reference grid's.
+void expect_matches_oracle(const Portrait& p, const PortraitInput& in) {
+  const auto g = sift::testing::oracle_grid(in, p.grid_n());
+  const auto cols = p.column_counts();
+  EXPECT_EQ(std::vector<std::uint32_t>(cols.begin(), cols.end()),
+            g.column_counts());
+  EXPECT_EQ(p.sum_squared_counts(), g.sum_squared_counts());
+  EXPECT_EQ(p.total_points(), g.total());
+}
+
 // --- Portrait ----------------------------------------------------------------
 
 TEST(Portrait, NormalisesBothAxesToUnitSquare) {
   const std::vector<double> ecg{-1.0, 0.0, 3.0, 0.0};
   const std::vector<double> abp{60.0, 80.0, 100.0, 60.0};
-  const Portrait p(tiny_input(ecg, abp, {}, {}));
-  ASSERT_EQ(p.points().size(), 4u);
-  for (const Point& pt : p.points()) {
+  const Portrait p(tiny_input(ecg, abp, every_index(4), {}));
+  const auto& pts = p.r_peak_points();
+  ASSERT_EQ(pts.size(), 4u);
+  EXPECT_EQ(p.total_points(), 4u);
+  for (const Point& pt : pts) {
     EXPECT_GE(pt.x, 0.0);
     EXPECT_LE(pt.x, 1.0);
     EXPECT_GE(pt.y, 0.0);
     EXPECT_LE(pt.y, 1.0);
   }
-  EXPECT_DOUBLE_EQ(p.points()[2].y, 1.0);  // ECG max
-  EXPECT_DOUBLE_EQ(p.points()[2].x, 1.0);  // ABP max
-  EXPECT_DOUBLE_EQ(p.points()[0].y, 0.0);  // ECG min
+  EXPECT_DOUBLE_EQ(pts[2].y, 1.0);  // ECG max
+  EXPECT_DOUBLE_EQ(pts[2].x, 1.0);  // ABP max
+  EXPECT_DOUBLE_EQ(pts[0].y, 0.0);  // ECG min
 }
 
 TEST(Portrait, PeakPointsAreTrajectoryCoordinates) {
@@ -85,8 +106,9 @@ TEST(Portrait, FlatlineEcgStillProducesFinitePortrait) {
   const std::vector<double> ecg(20, 0.7);  // flatline attack output
   std::vector<double> abp;
   for (int i = 0; i < 20; ++i) abp.push_back(80.0 + (i % 7));
-  const Portrait p(tiny_input(ecg, abp, {}, {}));
-  for (const Point& pt : p.points()) {
+  const Portrait p(tiny_input(ecg, abp, every_index(20), {}));
+  ASSERT_EQ(p.r_peak_points().size(), 20u);
+  for (const Point& pt : p.r_peak_points()) {
     EXPECT_TRUE(std::isfinite(pt.x));
     EXPECT_DOUBLE_EQ(pt.y, 0.5) << "constant channel maps to midpoint";
   }
@@ -97,35 +119,46 @@ TEST(Portrait, FlatlineEcgStillProducesFinitePortrait) {
 TEST(CountMatrix, TotalEqualsPortraitPoints) {
   const std::vector<double> ecg{0, 0.2, 0.9, 1.0, 0.3};
   const std::vector<double> abp{70, 72, 90, 95, 74};
-  const Portrait p(tiny_input(ecg, abp, {}, {}));
+  const PortraitInput in = tiny_input(ecg, abp, {}, {});
+  const Portrait p(in, 10);
   const CountMatrix m(p, 10);
   EXPECT_EQ(m.total_points(), 5u);
   std::size_t sum = 0;
-  for (std::size_t i = 0; i < 10; ++i) {
-    for (std::size_t j = 0; j < 10; ++j) sum += m.at(i, j);
-  }
+  for (std::uint32_t c : m.column_counts()) sum += c;
   EXPECT_EQ(sum, 5u);
+  expect_matches_oracle(p, in);
 }
 
 TEST(CountMatrix, BoundaryCoordinateLandsInLastCell) {
   const std::vector<double> ecg{0.0, 1.0};
   const std::vector<double> abp{0.0, 1.0};
-  const Portrait p(tiny_input(ecg, abp, {}, {}));
+  const PortraitInput in = tiny_input(ecg, abp, {}, {});
+  const Portrait p(in, 4);
   const CountMatrix m(p, 4);
-  EXPECT_EQ(m.at(0, 0), 1u);
-  EXPECT_EQ(m.at(3, 3), 1u) << "x == 1.0 clamps into the last bin";
+  const auto g = sift::testing::oracle_grid(in, 4);
+  EXPECT_EQ(g.at(0, 0), 1u);
+  EXPECT_EQ(g.at(3, 3), 1u) << "x == 1.0 clamps into the last bin";
+  const std::vector<std::uint32_t> want{1, 0, 0, 1};
+  EXPECT_EQ(std::vector<std::uint32_t>(m.column_counts().begin(),
+                                       m.column_counts().end()),
+            want);
+  EXPECT_EQ(m.sum_squared_counts(), 2u) << "two distinct cells, one each";
+  expect_matches_oracle(p, in);
 }
 
 TEST(CountMatrix, RejectsZeroGrid) {
   const std::vector<double> v{0.0, 1.0};
   const Portrait p(tiny_input(v, v, {}, {}));
   EXPECT_THROW(CountMatrix(p, 0), std::invalid_argument);
+  EXPECT_THROW(Portrait(tiny_input(v, v, {}, {}), 0), std::invalid_argument);
+  EXPECT_THROW(CountMatrix(p, 10), std::invalid_argument)
+      << "the matrix summarises the grid the portrait was binned at";
 }
 
 TEST(CountMatrix, ColumnAveragesSumToTotalOverN) {
   const std::vector<double> ecg{0, 0.1, 0.5, 0.9, 1.0, 0.4};
   const std::vector<double> abp{70, 71, 85, 92, 95, 73};
-  const Portrait p(tiny_input(ecg, abp, {}, {}));
+  const Portrait p(tiny_input(ecg, abp, {}, {}), 5);
   const CountMatrix m(p, 5);
   const auto col = m.column_averages();
   double sum = 0.0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "core/count_matrix.hpp"
@@ -10,6 +11,7 @@
 #include "core/fixed_point.hpp"
 #include "core/portrait.hpp"
 #include "core/windows.hpp"
+#include "grid_oracle.hpp"
 #include "peaks/pairing.hpp"
 #include "peaks/pan_tompkins.hpp"
 #include "peaks/systolic.hpp"
@@ -23,29 +25,52 @@
 namespace sift {
 namespace {
 
-// Deterministic random portrait with r/s peak annotations.
-core::Portrait random_portrait(std::uint64_t seed, std::size_t n = 256) {
-  std::mt19937_64 rng(seed);
-  std::normal_distribution<double> noise(0.0, 1.0);
+// Deterministic random window with r/s peak annotations.
+struct RandomWindow {
   std::vector<double> ecg;
   std::vector<double> abp;
-  for (std::size_t i = 0; i < n; ++i) {
-    ecg.push_back(std::sin(i * 0.21) + 0.3 * noise(rng));
-    abp.push_back(85.0 + 12.0 * std::sin(i * 0.21 - 0.7) + noise(rng));
-  }
   std::vector<std::size_t> r;
   std::vector<std::size_t> s;
-  for (std::size_t i = 10; i + 16 < n; i += 64) {
-    r.push_back(i);
-    s.push_back(i + 12);
+
+  core::PortraitInput input() const {
+    core::PortraitInput in;
+    in.ecg = ecg;
+    in.abp = abp;
+    in.r_peaks = r;
+    in.sys_peaks = s;
+    in.sample_rate_hz = 100.0;
+    return in;
   }
-  core::PortraitInput in;
-  in.ecg = ecg;
-  in.abp = abp;
-  in.r_peaks = r;
-  in.sys_peaks = s;
-  in.sample_rate_hz = 100.0;
-  return core::Portrait(in);
+};
+
+RandomWindow random_window(std::uint64_t seed, std::size_t n = 256) {
+  std::mt19937_64 rng(seed);
+  std::normal_distribution<double> noise(0.0, 1.0);
+  RandomWindow w;
+  for (std::size_t i = 0; i < n; ++i) {
+    w.ecg.push_back(std::sin(i * 0.21) + 0.3 * noise(rng));
+    w.abp.push_back(85.0 + 12.0 * std::sin(i * 0.21 - 0.7) + noise(rng));
+  }
+  for (std::size_t i = 10; i + 16 < n; i += 64) {
+    w.r.push_back(i);
+    w.s.push_back(i + 12);
+  }
+  return w;
+}
+
+core::Portrait random_portrait(std::uint64_t seed,
+                               std::size_t grid_n = core::kDefaultGridSize) {
+  return core::Portrait(random_window(seed).input(), grid_n);
+}
+
+std::vector<std::size_t> every_index(std::size_t n) {
+  std::vector<std::size_t> idx(n);
+  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  return idx;
+}
+
+std::vector<std::uint32_t> columns_of(const core::Portrait& p) {
+  return {p.column_counts().begin(), p.column_counts().end()};
 }
 
 // --- portrait / count-matrix invariants over random inputs -------------------------
@@ -53,8 +78,12 @@ core::Portrait random_portrait(std::uint64_t seed, std::size_t n = 256) {
 class RandomPortraitTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomPortraitTest, PortraitPointsStayInUnitSquare) {
-  const auto p = random_portrait(GetParam());
-  for (const core::Point& pt : p.points()) {
+  // A peak at every index: the peak points are the whole trajectory.
+  RandomWindow w = random_window(GetParam());
+  w.r = every_index(w.ecg.size());
+  const core::Portrait p(w.input());
+  ASSERT_EQ(p.r_peak_points().size(), w.ecg.size());
+  for (const core::Point& pt : p.r_peak_points()) {
     EXPECT_GE(pt.x, 0.0);
     EXPECT_LE(pt.x, 1.0);
     EXPECT_GE(pt.y, 0.0);
@@ -63,14 +92,17 @@ TEST_P(RandomPortraitTest, PortraitPointsStayInUnitSquare) {
 }
 
 TEST_P(RandomPortraitTest, CountMatrixConservesPoints) {
-  const auto p = random_portrait(GetParam());
+  const RandomWindow w = random_window(GetParam());
   for (std::size_t n : {3u, 10u, 50u}) {
+    const core::Portrait p(w.input(), n);
     const core::CountMatrix m(p, n);
     std::uint64_t sum = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) sum += m.at(i, j);
-    }
-    EXPECT_EQ(sum, p.points().size());
+    for (std::uint32_t c : m.column_counts()) sum += c;
+    EXPECT_EQ(sum, w.ecg.size());
+    EXPECT_EQ(m.total_points(), w.ecg.size());
+    const auto g = sift::testing::oracle_grid(w.input(), n);
+    EXPECT_EQ(columns_of(p), g.column_counts()) << "n=" << n;
+    EXPECT_EQ(m.sum_squared_counts(), g.sum_squared_counts()) << "n=" << n;
   }
 }
 
@@ -78,7 +110,7 @@ TEST_P(RandomPortraitTest, SfiWithinTheoreticalBounds) {
   const auto p = random_portrait(GetParam());
   const core::CountMatrix m(p, 50);
   const double sfi = m.spatial_filling_index();
-  EXPECT_GE(sfi, 1.0 / static_cast<double>(p.points().size()) - 1e-12);
+  EXPECT_GE(sfi, 1.0 / static_cast<double>(p.total_points()) - 1e-12);
   EXPECT_LE(sfi, 1.0 + 1e-12);
 }
 
@@ -110,24 +142,64 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomPortraitTest,
 class GridSweepTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(GridSweepTest, MatrixFeaturesBehaveAtAnyResolution) {
-  const auto p = random_portrait(77);
+  const auto p = random_portrait(77, GetParam());
   const core::CountMatrix m(p, GetParam());
   EXPECT_EQ(m.n(), GetParam());
   const double sfi = m.spatial_filling_index();
-  EXPECT_GE(sfi, 1.0 / static_cast<double>(p.points().size()) - 1e-12);
+  EXPECT_GE(sfi, 1.0 / static_cast<double>(p.total_points()) - 1e-12);
   EXPECT_LE(sfi, 1.0 + 1e-12);
   const auto f = core::extract_features(
       p, m, core::DetectorVersion::kSimplified, core::Arithmetic::kDouble);
   for (double v : f) EXPECT_TRUE(std::isfinite(v));
   // Coarser grids concentrate points -> SFI decreases with resolution.
   if (GetParam() >= 4) {
-    const core::CountMatrix coarse(p, 2);
+    const core::CountMatrix coarse(random_portrait(77, 2), 2);
     EXPECT_GE(coarse.spatial_filling_index(), sfi);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Grids, GridSweepTest,
-                         ::testing::Values(1, 2, 5, 10, 25, 50, 100, 200));
+                         ::testing::Values(1, 2, 4, 5, 10, 25, 50, 100, 200,
+                                           257));
+
+// The one-pass binning against the full reference grid, at every SIMD
+// level, over windows the vector body and scalar tail both see: NaN and
+// infinite samples, a flatlined (degenerate) channel, odd lengths, and a
+// warm portrait rebuilt across grid sizes.
+TEST(PortraitGrid, SummaryMatchesOracleAtEveryLevel) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<RandomWindow> windows;
+  windows.push_back(random_window(5, 1080));
+  windows.push_back(random_window(6, 257));
+  RandomWindow specials = random_window(7, 101);
+  specials.abp[3] = kNan;
+  specials.ecg[50] = kInf;
+  specials.ecg[99] = -kInf;
+  windows.push_back(specials);
+  RandomWindow flat = random_window(8, 63);
+  for (double& v : flat.ecg) v = 0.7;
+  windows.push_back(flat);
+
+  const simd::Level before = simd::active_level();
+  core::Portrait warm;
+  for (const simd::Level level : simd::available_levels()) {
+    ASSERT_TRUE(simd::set_active_level(level));
+    for (const RandomWindow& w : windows) {
+      for (std::size_t n : {257u, 1u, 4u, 1021u, 50u}) {
+        const auto g = sift::testing::oracle_grid(w.input(), n);
+        warm.rebuild(w.input(), n);
+        EXPECT_EQ(warm.grid_n(), n);
+        EXPECT_EQ(columns_of(warm), g.column_counts())
+            << simd::to_string(level) << " n=" << n;
+        EXPECT_EQ(warm.sum_squared_counts(), g.sum_squared_counts())
+            << simd::to_string(level) << " n=" << n;
+        EXPECT_EQ(warm.total_points(), g.total());
+      }
+    }
+  }
+  ASSERT_TRUE(simd::set_active_level(before));
+}
 
 // --- zero-allocation refactor equivalences ------------------------------------------
 //
@@ -160,34 +232,19 @@ TEST_P(RandomPortraitTest, FeatureVectorPathMatchesVectorPath) {
 TEST_P(RandomPortraitTest, RebuiltPortraitMatchesConstructedPortrait) {
   const auto fresh = random_portrait(GetParam());
   // Rebuild a warm portrait (capacity already sized by a different seed)
-  // from the same input; every derived point must be bitwise identical.
+  // from the same input; the grid summary and every derived point must be
+  // bitwise identical.
   core::Portrait reused = random_portrait(GetParam() + 1);
-  std::mt19937_64 rng(GetParam());
-  std::normal_distribution<double> noise(0.0, 1.0);
-  std::vector<double> ecg;
-  std::vector<double> abp;
-  for (std::size_t i = 0; i < 256; ++i) {
-    ecg.push_back(std::sin(i * 0.21) + 0.3 * noise(rng));
-    abp.push_back(85.0 + 12.0 * std::sin(i * 0.21 - 0.7) + noise(rng));
-  }
-  std::vector<std::size_t> r;
-  std::vector<std::size_t> s;
-  for (std::size_t i = 10; i + 16 < 256; i += 64) {
-    r.push_back(i);
-    s.push_back(i + 12);
-  }
-  core::PortraitInput in;
-  in.ecg = ecg;
-  in.abp = abp;
-  in.r_peaks = r;
-  in.sys_peaks = s;
-  in.sample_rate_hz = 100.0;
-  reused.rebuild(in);
+  const RandomWindow w = random_window(GetParam());
+  reused.rebuild(w.input());
 
-  ASSERT_EQ(reused.points().size(), fresh.points().size());
-  for (std::size_t i = 0; i < fresh.points().size(); ++i) {
-    EXPECT_EQ(reused.points()[i].x, fresh.points()[i].x);
-    EXPECT_EQ(reused.points()[i].y, fresh.points()[i].y);
+  EXPECT_EQ(columns_of(reused), columns_of(fresh));
+  EXPECT_EQ(reused.sum_squared_counts(), fresh.sum_squared_counts());
+  EXPECT_EQ(reused.total_points(), fresh.total_points());
+  ASSERT_EQ(reused.r_peak_points().size(), fresh.r_peak_points().size());
+  for (std::size_t i = 0; i < fresh.r_peak_points().size(); ++i) {
+    EXPECT_EQ(reused.r_peak_points()[i].x, fresh.r_peak_points()[i].x);
+    EXPECT_EQ(reused.r_peak_points()[i].y, fresh.r_peak_points()[i].y);
   }
   ASSERT_EQ(reused.peak_pairs().size(), fresh.peak_pairs().size());
   for (std::size_t i = 0; i < fresh.peak_pairs().size(); ++i) {
@@ -237,14 +294,17 @@ TEST(SpanOverloads, ScalerAndSvmSpanPathsMatchVectorPaths) {
 // --- normalisation properties -------------------------------------------------------
 
 // The per-window min-max normaliser the portrait applies to each channel,
-// read back as the ECG coordinate of every trajectory point.
+// read back as the ECG coordinate of every trajectory point (a peak at
+// every index).
 std::vector<double> portrait_normalize(const std::vector<double>& xs) {
+  const auto every = every_index(xs.size());
   core::PortraitInput in;
   in.ecg = xs;
   in.abp = xs;
+  in.r_peaks = every;
   const core::Portrait portrait(in);
   std::vector<double> out;
-  for (const core::Point& pt : portrait.points()) out.push_back(pt.y);
+  for (const core::Point& pt : portrait.r_peak_points()) out.push_back(pt.y);
   return out;
 }
 

@@ -201,19 +201,6 @@ TEST_P(SimdLevelTest, Normalize01MatchesScalarBitwiseAndInPlace) {
   }
 }
 
-TEST_P(SimdLevelTest, Normalize01Interleave2MatchesScalarBitwise) {
-  for (std::size_t n : kSizes) {
-    const auto a = adversarial_vector(n, 15);
-    const auto b = random_vector(n, 16);
-    std::vector<double> out0(2 * n, -1.0), out1(2 * n, -1.0);
-    k().normalize01_interleave2(a.data(), b.data(), 0.1, 2.0, -0.5, 0.75,
-                                out0.data(), n);
-    ref().normalize01_interleave2(a.data(), b.data(), 0.1, 2.0, -0.5, 0.75,
-                                  out1.data(), n);
-    EXPECT_TRUE(BitEq(out0, out1)) << "n=" << n;
-  }
-}
-
 TEST_P(SimdLevelTest, SquareMatchesScalarBitwiseAndInPlace) {
   for (std::size_t n : kSizes) {
     const auto x = adversarial_vector(n, 17);
@@ -272,44 +259,61 @@ TEST_P(SimdLevelTest, MovingWindowIntegralMatchesOriginalSemantics) {
   }
 }
 
-TEST_P(SimdLevelTest, Hist2dMatchesScalarExactly) {
-  std::mt19937 rng(21);
-  std::uniform_real_distribution<double> dist(-0.25, 1.25);
-  for (std::size_t n_grid : {1u, 3u, 50u}) {
-    for (std::size_t n_points : {0u, 1u, 2u, 3u, 7u, 500u}) {
-      std::vector<double> xy(2 * n_points);
-      for (double& v : xy) v = dist(rng);
-      // Edge and adversarial coordinates in both vector body and tail.
-      if (n_points >= 3) {
-        xy[0] = 0.0;
-        xy[1] = 1.0;  // lands in the last row despite == 1.0
-        xy[2] = kNan;
-        xy[3] = -0.0;
-        xy[2 * n_points - 2] = kInf;
-        xy[2 * n_points - 1] = -kInf;
+TEST_P(SimdLevelTest, GridCellsMatchScalarBitwise) {
+  // Every channel-range shape the portrait can hand the kernel: ordinary,
+  // degenerate (flatline: zero, and the negative range NaN-laced min/max
+  // can produce), infinite and NaN.
+  struct Range {
+    double shift;
+    double scale;
+  };
+  const Range ranges[] = {{-10.0, 20.0}, {0.25, 3.0}, {3.0, 0.0},
+                          {1.0, -2.0},   {-kInf, kInf}, {0.0, kNan}};
+  // The textbook formula the kernel implements, for the scalar reference.
+  auto coord = [](double x, Range r, std::size_t n_grid) {
+    const double u = r.scale <= 0.0 ? 0.5 : (x - r.shift) / r.scale;
+    double v = u * static_cast<double>(n_grid);
+    if (!(v > 0.0)) v = 0.0;
+    const double top = static_cast<double>(n_grid - 1);
+    return static_cast<std::uint32_t>(v > top ? top : v);
+  };
+  // 65535 is the largest side: i * n + j reaches 2^32 - 65537.
+  for (std::size_t n_grid : {1u, 3u, 50u, 257u, 65535u}) {
+    for (std::size_t n : kSizes) {
+      auto a = adversarial_vector(n, 21);
+      const auto b = random_vector(n, 22);
+      // Samples exactly at the range ends: x == 1.0 after normalising
+      // must land in the last cell.
+      if (n >= 3) {
+        a[n - 1] = 10.0;
+        a[n / 2] = -10.0;
       }
-      std::vector<std::uint32_t> got(n_grid * n_grid, 0);
-      std::vector<std::uint32_t> want(n_grid * n_grid, 0);
-      k().hist2d(xy.data(), n_points, n_grid, got.data());
-      ref().hist2d(xy.data(), n_points, n_grid, want.data());
-      EXPECT_EQ(got, want) << "n_grid=" << n_grid << " points=" << n_points;
-      std::uint64_t total = 0;
-      for (std::uint32_t c : got) total += c;
-      EXPECT_EQ(total, n_points) << "every point must land in some cell";
+      for (const Range ra : ranges) {
+        for (const Range rb : ranges) {
+          std::vector<std::uint32_t> got(n, 0xDEADBEEF), want(n, 0xDEADBEEF);
+          k().grid_cells(a.data(), b.data(), ra.shift, ra.scale, rb.shift,
+                         rb.scale, n_grid, got.data(), n);
+          ref().grid_cells(a.data(), b.data(), ra.shift, ra.scale, rb.shift,
+                           rb.scale, n_grid, want.data(), n);
+          ASSERT_EQ(got, want) << "n_grid=" << n_grid << " n=" << n
+                               << " scale_a=" << ra.scale
+                               << " scale_b=" << rb.scale;
+          for (std::size_t t = 0; t < n; ++t) {
+            ASSERT_EQ(want[t], coord(a[t], ra, n_grid) * n_grid +
+                                   coord(b[t], rb, n_grid))
+                << "sample " << t;
+          }
+        }
+      }
+      if (n >= 3) {
+        std::vector<std::uint32_t> got(n);
+        k().grid_cells(a.data(), b.data(), -10.0, 20.0, -10.0, 20.0, n_grid,
+                       got.data(), n);
+        EXPECT_EQ(got[n - 1] / n_grid, n_grid - 1)
+            << "x == 1.0 -> last column";
+        EXPECT_EQ(got[n / 2] / n_grid, 0u);
+      }
     }
-  }
-}
-
-TEST_P(SimdLevelTest, ColumnAveragesMatchesScalarExactly) {
-  std::mt19937 rng(22);
-  std::uniform_int_distribution<std::uint32_t> dist(0, 1000000);
-  for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 50u}) {
-    std::vector<std::uint32_t> cells(n * n);
-    for (auto& c : cells) c = dist(rng);
-    std::vector<double> got(n, -1.0), want(n, -1.0);
-    k().column_averages(cells.data(), n, got.data());
-    ref().column_averages(cells.data(), n, want.data());
-    EXPECT_TRUE(BitEq(got, want)) << "n=" << n;
   }
 }
 
