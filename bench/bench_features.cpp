@@ -38,15 +38,32 @@ core::Portrait make_portrait() {
   return core::make_window_portrait(rec, 0, rec.ecg.size());
 }
 
+// The window-path benchmarks rotate over this many distinct 3 s windows
+// of one 120 s record, so the branch predictor cannot learn one window's
+// cell sequence and flatter a data-dependent loop.
+constexpr std::size_t kRotation = 40;
+constexpr std::size_t kWindowSamples = 1080;
+
+const physio::Record& rotation_record() {
+  static const physio::Record rec = [] {
+    const auto cohort = physio::synthetic_cohort(1, 7);
+    return physio::generate_record(
+        cohort[0], 3.0 * static_cast<double>(kRotation));
+  }();
+  return rec;
+}
+
 void BM_PortraitConstruction(benchmark::State& state) {
   // Rebuilt in a warm arena, as the detector does, so the loop times the
   // portrait rather than allocator traffic.
-  const auto& rec = window_record();
+  const auto& rec = rotation_record();
   core::WindowScratch scratch;
+  std::size_t w = 0;
   for (auto _ : state) {
-    const core::Portrait& p =
-        core::make_window_portrait_into(rec, 0, rec.ecg.size(), scratch);
+    const core::Portrait& p = core::make_window_portrait_into(
+        rec, w * kWindowSamples, kWindowSamples, scratch);
     benchmark::DoNotOptimize(p.sum_squared_counts());
+    w = w + 1 == kRotation ? 0 : w + 1;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
@@ -69,13 +86,15 @@ BENCHMARK(BM_ExtractFeatures)
 
 void BM_FullWindowClassificationPath(benchmark::State& state) {
   // Portrait + matrix + features: what FeatureExtraction costs per window.
-  const auto& rec = window_record();
+  const auto& rec = rotation_record();
   const auto version = static_cast<core::DetectorVersion>(state.range(0));
+  std::size_t w = 0;
   for (auto _ : state) {
     const core::Portrait p =
-        core::make_window_portrait(rec, 0, rec.ecg.size());
+        core::make_window_portrait(rec, w * kWindowSamples, kWindowSamples);
     auto f = core::extract_features(p, version, core::Arithmetic::kDouble);
     benchmark::DoNotOptimize(f.data());
+    w = w + 1 == kRotation ? 0 : w + 1;
   }
   state.SetLabel(core::to_string(version));
 }
@@ -157,19 +176,6 @@ void BM_SimdMeanVar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kKernelN);
 }
 BENCHMARK(BM_SimdMeanVar)->Apply(registered_levels);
-
-void BM_SimdNormalize01(benchmark::State& state) {
-  const auto& k = sweep_kernels(state);
-  const auto xs = kernel_input(kKernelN);
-  std::vector<double> out(xs.size());
-  const auto mm = simd::min_max(xs);
-  for (auto _ : state) {
-    k.normalize01(xs.data(), mm.min, mm.max - mm.min, out.data(), xs.size());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kKernelN);
-}
-BENCHMARK(BM_SimdNormalize01)->Apply(registered_levels);
 
 void BM_SimdFivePointDerivative(benchmark::State& state) {
   const auto& k = sweep_kernels(state);

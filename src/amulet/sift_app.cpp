@@ -79,10 +79,12 @@ void SiftApp::on_feature_extraction(std::size_t window_index) {
   ++stats_.feature_extraction.activations;
   const std::size_t start = window_index * window_samples_;
 
-  const core::Portrait portrait =
-      core::make_window_portrait(prestored_, start, window_samples_,
-                                 model_.config.grid_n);
-  const core::CountMatrix matrix(portrait, model_.config.grid_n);
+  // Built in the thread's arena: no portrait grid or matrix per window.
+  core::WindowScratch& scratch = core::thread_scratch();
+  const core::Portrait& portrait = core::make_window_portrait_into(
+      prestored_, start, window_samples_, scratch, model_.config.grid_n);
+  scratch.matrix.rebuild(portrait, model_.config.grid_n);
+  const core::CountMatrix& matrix = scratch.matrix;
 
   // Classification uses the configured on-device arithmetic; the op counts
   // come from an instrumented pass over the identical feature math.

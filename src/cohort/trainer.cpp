@@ -1,18 +1,17 @@
 #include "cohort/trainer.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <stdexcept>
-#include <thread>
 
 #include "cohort/archive.hpp"
 #include "cohort/dedup.hpp"
 #include "cohort/extractor.hpp"
 #include "cohort/feature_store.hpp"
 #include "ml/svm.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace sift::cohort {
 namespace {
@@ -259,52 +258,32 @@ CohortStats CohortTrainer::run(std::span<const int> user_ids,
     out.per_user.push_back(stat);
   };
 
-  const std::size_t n_workers =
-      n_users == 0 ? 1 : std::min(config_.workers, n_users);
-  struct WorkerOut {
-    CohortStats stats;
-    std::exception_ptr error;
-  };
-  std::vector<WorkerOut> outs(n_workers);
-  std::atomic<std::size_t> next{0};
-
-  const auto work = [&](std::size_t w) {
-    WorkerScratch scratch(config_);
-    try {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n_users) break;
-        train_one(i, scratch, outs[w].stats);
-      }
-    } catch (...) {
-      outs[w].error = std::current_exception();
-    }
-  };
-
-  if (n_workers == 1) {
-    work(0);
-  } else {
-    std::vector<std::jthread> threads;
-    threads.reserve(n_workers);
-    for (std::size_t w = 0; w < n_workers; ++w) threads.emplace_back(work, w);
-  }
-
-  for (const WorkerOut& o : outs) {
-    if (o.error) std::rethrow_exception(o.error);
-  }
+  // One WorkerScratch and one stats shard per pool worker, the scratch
+  // built on the worker's own first user. Passing n_workers as the cap
+  // keeps every worker index inside the slots.
+  const std::size_t n_workers = parallel::width(n_users, config_.workers);
+  std::vector<std::optional<WorkerScratch>> scratch(n_workers);
+  std::vector<CohortStats> outs(n_workers);
+  parallel::parallel_for(
+      n_users,
+      [&](std::size_t i, std::size_t w) {
+        if (!scratch[w]) scratch[w].emplace(config_);
+        train_one(i, *scratch[w], outs[w]);
+      },
+      n_workers);
 
   // Deterministic merge: per-worker shards concatenate, then sort by user
   // id — the result is independent of which worker claimed which user.
   CohortStats total;
-  for (WorkerOut& o : outs) {
-    total.users_trained += o.stats.users_trained;
-    total.windows_extracted += o.stats.windows_extracted;
-    total.dedup_hits += o.stats.dedup_hits;
-    total.hash_collisions += o.stats.hash_collisions;
-    total.rows_stored += o.stats.rows_stored;
-    total.models_written += o.stats.models_written;
-    total.per_user.insert(total.per_user.end(), o.stats.per_user.begin(),
-                          o.stats.per_user.end());
+  for (const CohortStats& o : outs) {
+    total.users_trained += o.users_trained;
+    total.windows_extracted += o.windows_extracted;
+    total.dedup_hits += o.dedup_hits;
+    total.hash_collisions += o.hash_collisions;
+    total.rows_stored += o.rows_stored;
+    total.models_written += o.models_written;
+    total.per_user.insert(total.per_user.end(), o.per_user.begin(),
+                          o.per_user.end());
   }
   std::sort(total.per_user.begin(), total.per_user.end(),
             [](const UserTrainStat& a, const UserTrainStat& b) {

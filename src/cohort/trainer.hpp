@@ -47,6 +47,8 @@ struct CohortConfig {
   /// order (cyclic). 0 = every other member in ascending order, which is
   /// the 12-user golden protocol.
   std::size_t donors_per_user = 2;
+  /// Most users trained at once; the pool (parallel::parallel_for) never
+  /// runs more threads than the usable cores either.
   std::size_t workers = 1;
   bool dedup = true;
 };

@@ -1,15 +1,14 @@
 #include "core/attack_matrix.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <random>
 #include <sstream>
-#include <thread>
 
 #include "attack/scenario.hpp"
 #include "ml/roc.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace sift::core {
 namespace {
@@ -33,24 +32,6 @@ std::string fmt(double v) {
   return buf;
 }
 
-/// Runs @p body(u) for every user index over a hardware-sized pool.
-/// Each index is claimed exactly once; results must go to indexed slots.
-template <typename Body>
-void parallel_over_users(std::size_t n_users, Body body) {
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (std::size_t u = next.fetch_add(1); u < n_users;
-         u = next.fetch_add(1)) {
-      body(u);
-    }
-  };
-  const std::size_t n_threads = std::min<std::size_t>(
-      n_users, std::max(1u, std::thread::hardware_concurrency()));
-  std::vector<std::jthread> pool;
-  pool.reserve(n_threads);
-  for (std::size_t t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-}
-
 }  // namespace
 
 AttackMatrixResult run_attack_matrix(const AttackMatrixConfig& config) {
@@ -70,10 +51,10 @@ AttackMatrixResult run_attack_matrix(const AttackMatrixConfig& config) {
     models[t].resize(n_users);
     SiftConfig sift = exp.sift;
     sift.version = kTiers[t];
-    parallel_over_users(n_users, [&, sift](std::size_t u) {
-      std::vector<physio::Record> donors;
+    parallel::parallel_for(n_users, [&, sift](std::size_t u) {
+      std::vector<const physio::Record*> donors;
       for (std::size_t v = 0; v < n_users; ++v) {
-        if (v != u) donors.push_back(data.training[v]);
+        if (v != u) donors.push_back(&data.training[v]);
       }
       models[t][u] = train_user_model(data.training[u], donors, sift);
     });
@@ -118,7 +99,7 @@ AttackMatrixResult run_attack_matrix(const AttackMatrixConfig& config) {
     };
     std::vector<std::vector<PerUser>> evals(std::size(kTiers));
     for (auto& e : evals) e.resize(n_users);
-    parallel_over_users(n_users, [&](std::size_t u) {
+    parallel::parallel_for(n_users, [&](std::size_t u) {
       for (std::size_t t = 0; t < std::size(kTiers); ++t) {
         const Detector detector(models[t][u]);
         PerUser& out = evals[t][u];

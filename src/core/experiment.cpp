@@ -1,11 +1,10 @@
 #include "core/experiment.hpp"
 
-#include <atomic>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "attack/scenario.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace sift::core {
 
@@ -49,36 +48,23 @@ ExperimentResult run_detection_experiment(const ExperimentConfig& config,
   // Phase 2 (parallel): per-subject training + classification, which is
   // where nearly all the time goes. Subjects are fully independent.
   std::vector<SubjectResult> subjects(n_users);
-  std::atomic<std::size_t> next{0};
-  auto worker = [&]() {
-    for (std::size_t u = next.fetch_add(1); u < n_users;
-         u = next.fetch_add(1)) {
-      std::vector<physio::Record> train_donors;
-      for (std::size_t v = 0; v < n_users; ++v) {
-        if (v != u) train_donors.push_back(data.training[v]);
-      }
-      const UserModel model =
-          train_user_model(data.training[u], train_donors, config.sift);
-      const Detector detector(model);
-      const auto verdicts = detector.classify_record(attacked[u].record);
-
-      SubjectResult sr;
-      sr.user_id = data.cohort[u].user_id;
-      for (std::size_t w = 0; w < verdicts.size(); ++w) {
-        sr.confusion.add(verdicts[w].altered ? +1 : -1,
-                         attacked[u].window_altered[w] ? +1 : -1);
-      }
-      subjects[u] = sr;
+  parallel::parallel_for(n_users, [&](std::size_t u) {
+    std::vector<const physio::Record*> train_donors;
+    for (std::size_t v = 0; v < n_users; ++v) {
+      if (v != u) train_donors.push_back(&data.training[v]);
     }
-  };
+    const UserModel model =
+        train_user_model(data.training[u], train_donors, config.sift);
+    const Detector detector(model);
+    const auto verdicts = detector.classify_record(attacked[u].record);
 
-  const std::size_t n_threads = std::min<std::size_t>(
-      n_users, std::max(1u, std::thread::hardware_concurrency()));
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(n_threads);
-    for (std::size_t t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-  }
+    SubjectResult& sr = subjects[u];
+    sr.user_id = data.cohort[u].user_id;
+    for (std::size_t w = 0; w < verdicts.size(); ++w) {
+      sr.confusion.add(verdicts[w].altered ? +1 : -1,
+                       attacked[u].window_altered[w] ? +1 : -1);
+    }
+  });
 
   ExperimentResult result;
   result.subjects = std::move(subjects);

@@ -83,18 +83,7 @@ std::vector<std::vector<double>> OnlineAdapter::make_positive_reservoir(
   const auto window = static_cast<std::size_t>(config.window_s * rate + 0.5);
   std::vector<std::vector<double>> out;
   for (const physio::Record& donor : donors) {
-    const std::size_t len = std::min(wearer.ecg.size(), donor.ecg.size());
-    physio::Record hybrid;
-    hybrid.user_id = wearer.user_id;
-    hybrid.ecg = donor.ecg.slice(0, len);
-    hybrid.abp = wearer.abp.slice(0, len);
-    for (std::size_t p : donor.r_peaks) {
-      if (p < len) hybrid.r_peaks.push_back(p);
-    }
-    for (std::size_t p : wearer.systolic_peaks) {
-      if (p < len) hybrid.systolic_peaks.push_back(p);
-    }
-    for (auto& x : extract_window_features(hybrid, window, window,
+    for (auto& x : extract_window_features(donor, wearer, window, window,
                                            config.version, config.arithmetic,
                                            config.grid_n)) {
       out.push_back(std::move(x));

@@ -15,28 +15,19 @@ std::size_t to_samples(double seconds, double rate_hz) {
   return static_cast<std::size_t>(seconds * rate_hz + 0.5);
 }
 
-// A substitution-attacked stream as seen by the base station: the donor's
-// ECG (with the donor's R peaks) alongside the wearer's genuine ABP.
-physio::Record hybrid_record(const physio::Record& wearer,
-                             const physio::Record& donor) {
-  const std::size_t len = std::min(wearer.ecg.size(), donor.ecg.size());
-  physio::Record h;
-  h.user_id = wearer.user_id;
-  h.ecg = donor.ecg.slice(0, len);
-  h.abp = wearer.abp.slice(0, len);
-  for (std::size_t p : donor.r_peaks) {
-    if (p < len) h.r_peaks.push_back(p);
-  }
-  for (std::size_t p : wearer.systolic_peaks) {
-    if (p < len) h.systolic_peaks.push_back(p);
-  }
-  return h;
-}
-
 }  // namespace
 
 UserModel train_user_model(const physio::Record& wearer,
                            std::span<const physio::Record> donors,
+                           const SiftConfig& config) {
+  std::vector<const physio::Record*> refs;
+  refs.reserve(donors.size());
+  for (const physio::Record& donor : donors) refs.push_back(&donor);
+  return train_user_model(wearer, refs, config);
+}
+
+UserModel train_user_model(const physio::Record& wearer,
+                           std::span<const physio::Record* const> donors,
                            const SiftConfig& config) {
   if (donors.empty()) {
     throw std::invalid_argument("train_user_model: need at least one donor");
@@ -58,12 +49,14 @@ UserModel train_user_model(const physio::Record& wearer,
   }
   const std::size_t n_negative = data.size();
 
-  // Positive class: donor ECG over the wearer's ABP, pooled across donors.
+  // Positive class: donor ECG over the wearer's ABP, pooled across donors
+  // — a substitution-attacked stream as the base station sees it, with the
+  // donor's R peaks alongside the wearer's systolic peaks.
   ml::Dataset positives;
-  for (const physio::Record& donor : donors) {
-    const physio::Record h = hybrid_record(wearer, donor);
-    for (auto& x : extract_window_features(h, window, stride, config.version,
-                                           config.arithmetic, config.grid_n)) {
+  for (const physio::Record* donor : donors) {
+    for (auto& x : extract_window_features(*donor, wearer, window, stride,
+                                           config.version, config.arithmetic,
+                                           config.grid_n)) {
       positives.push_back({std::move(x), +1});
     }
   }
@@ -87,12 +80,9 @@ UserModel train_user_model(const physio::Record& wearer,
           config.seed + ++salt);
       for (std::size_t w = 0; w < attacked.window_altered.size(); ++w) {
         if (!attacked.window_altered[w]) continue;
-        const Portrait portrait =
-            make_window_portrait(attacked.record, w * window, window,
-                                 config.grid_n);
         augmented.push_back(
-            {extract_features(portrait, config.version, config.arithmetic,
-                              config.grid_n),
+            {window_features(attacked.record, w * window, window,
+                             config.version, config.arithmetic, config.grid_n),
              +1});
       }
     }

@@ -54,12 +54,17 @@ struct UserModel {
 /// Trains one user-specific model.
 ///
 /// @param wearer  Δ time-units of the wearer's genuine ECG+ABP
-/// @param donors  other users' records (≥1); positive-class portraits pair
-///                each donor's ECG with the wearer's ABP. The positive set
-///                is subsampled to the negative set's size so classes stay
-///                balanced regardless of cohort size.
+/// @param donors  other users' records (≥1), read in place; positive-class
+///                portraits pair each donor's ECG with the wearer's ABP.
+///                The positive set is subsampled to the negative set's size
+///                so classes stay balanced regardless of cohort size.
 /// @throws std::invalid_argument if donors is empty or records are shorter
 ///         than one window.
+UserModel train_user_model(const physio::Record& wearer,
+                           std::span<const physio::Record* const> donors,
+                           const SiftConfig& config);
+
+/// Same, over donor records held by value.
 UserModel train_user_model(const physio::Record& wearer,
                            std::span<const physio::Record> donors,
                            const SiftConfig& config);

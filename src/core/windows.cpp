@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "core/count_matrix.hpp"
+#include "core/feature_vector.hpp"
+
 namespace sift::core {
 
 void peaks_in_range_into(std::span<const std::size_t> peaks, std::size_t start,
@@ -22,16 +25,47 @@ std::vector<std::size_t> peaks_in_range(const std::vector<std::size_t>& peaks,
 
 namespace {
 
-PortraitInput window_input(const physio::Record& rec, std::size_t start,
+// One window of the stream pairing @p ecg_from's ECG and R peaks with
+// @p abp_from's ABP and systolic peaks (the same record for a genuine
+// stream). Peak indexes are window-relative, in @p r and @p s.
+PortraitInput window_input(const physio::Record& ecg_from,
+                           const physio::Record& abp_from, std::size_t start,
                            std::size_t len, const std::vector<std::size_t>& r,
                            const std::vector<std::size_t>& s) {
   PortraitInput in;
-  in.ecg = rec.ecg.samples().subspan(start, len);
-  in.abp = rec.abp.samples().subspan(start, len);
+  in.ecg = ecg_from.ecg.samples().subspan(start, len);
+  in.abp = abp_from.abp.samples().subspan(start, len);
   in.r_peaks = r;
   in.sys_peaks = s;
-  in.sample_rate_hz = rec.ecg.sample_rate_hz();
+  in.sample_rate_hz = ecg_from.ecg.sample_rate_hz();
   return in;
+}
+
+const Portrait& portrait_into(const physio::Record& ecg_from,
+                              const physio::Record& abp_from,
+                              std::size_t start, std::size_t len,
+                              WindowScratch& scratch, std::size_t grid_n) {
+  peaks_in_range_into(ecg_from.r_peaks, start, len, scratch.r_peaks);
+  peaks_in_range_into(abp_from.systolic_peaks, start, len, scratch.sys_peaks);
+  scratch.portrait.rebuild(window_input(ecg_from, abp_from, start, len,
+                                        scratch.r_peaks, scratch.sys_peaks),
+                           grid_n);
+  return scratch.portrait;
+}
+
+std::vector<double> features_into(const physio::Record& ecg_from,
+                                  const physio::Record& abp_from,
+                                  std::size_t start, std::size_t len,
+                                  DetectorVersion version,
+                                  Arithmetic arithmetic, std::size_t grid_n,
+                                  WindowScratch& scratch) {
+  const Portrait& portrait =
+      portrait_into(ecg_from, abp_from, start, len, scratch, grid_n);
+  scratch.matrix.rebuild(portrait, grid_n);
+  FeatureVector features;
+  extract_features_into(portrait, scratch.matrix, version, arithmetic,
+                        features);
+  return features.to_vector();
 }
 
 }  // namespace
@@ -40,36 +74,48 @@ Portrait make_window_portrait(const physio::Record& rec, std::size_t start,
                               std::size_t len, std::size_t grid_n) {
   const auto r = peaks_in_range(rec.r_peaks, start, len);
   const auto s = peaks_in_range(rec.systolic_peaks, start, len);
-  return Portrait(window_input(rec, start, len, r, s), grid_n);
+  return Portrait(window_input(rec, rec, start, len, r, s), grid_n);
 }
 
 const Portrait& make_window_portrait_into(const physio::Record& rec,
                                           std::size_t start, std::size_t len,
                                           WindowScratch& scratch,
                                           std::size_t grid_n) {
-  peaks_in_range_into(rec.r_peaks, start, len, scratch.r_peaks);
-  peaks_in_range_into(rec.systolic_peaks, start, len, scratch.sys_peaks);
-  scratch.portrait.rebuild(
-      window_input(rec, start, len, scratch.r_peaks, scratch.sys_peaks),
-      grid_n);
-  return scratch.portrait;
+  return portrait_into(rec, rec, start, len, scratch, grid_n);
+}
+
+std::vector<double> window_features(const physio::Record& rec,
+                                    std::size_t start, std::size_t len,
+                                    DetectorVersion version,
+                                    Arithmetic arithmetic, std::size_t grid_n) {
+  return features_into(rec, rec, start, len, version, arithmetic, grid_n,
+                       thread_scratch());
+}
+
+std::vector<std::vector<double>> extract_window_features(
+    const physio::Record& ecg_from, const physio::Record& abp_from,
+    std::size_t window_samples, std::size_t stride_samples,
+    DetectorVersion version, Arithmetic arithmetic, std::size_t grid_n) {
+  std::vector<std::vector<double>> out;
+  const std::size_t len = std::min(ecg_from.ecg.size(), abp_from.abp.size());
+  if (window_samples == 0 || stride_samples == 0 || len < window_samples) {
+    return out;
+  }
+  WindowScratch& scratch = thread_scratch();
+  for (std::size_t start = 0; start + window_samples <= len;
+       start += stride_samples) {
+    out.push_back(features_into(ecg_from, abp_from, start, window_samples,
+                                version, arithmetic, grid_n, scratch));
+  }
+  return out;
 }
 
 std::vector<std::vector<double>> extract_window_features(
     const physio::Record& rec, std::size_t window_samples,
     std::size_t stride_samples, DetectorVersion version, Arithmetic arithmetic,
     std::size_t grid_n) {
-  std::vector<std::vector<double>> out;
-  if (window_samples == 0 || stride_samples == 0 ||
-      rec.ecg.size() < window_samples) {
-    return out;
-  }
-  for (std::size_t start = 0; start + window_samples <= rec.ecg.size();
-       start += stride_samples) {
-    const Portrait p = make_window_portrait(rec, start, window_samples, grid_n);
-    out.push_back(extract_features(p, version, arithmetic, grid_n));
-  }
-  return out;
+  return extract_window_features(rec, rec, window_samples, stride_samples,
+                                 version, arithmetic, grid_n);
 }
 
 }  // namespace sift::core

@@ -38,10 +38,32 @@ const Portrait& make_window_portrait_into(
     const physio::Record& rec, std::size_t start, std::size_t len,
     WindowScratch& scratch, std::size_t grid_n = kDefaultGridSize);
 
-/// Extracts one feature point per stride-spaced window of @p rec.
+/// The feature point of one window of @p rec, built in the calling thread's
+/// arena (thread_scratch), so no portrait grid or count matrix is
+/// allocated per window; only the returned vector is. Bit-identical to
+/// extract_features(make_window_portrait(rec, start, len, grid_n), ...).
+/// Not reentrant with another use of the thread's arena (see
+/// thread_scratch).
+std::vector<double> window_features(const physio::Record& rec,
+                                    std::size_t start, std::size_t len,
+                                    DetectorVersion version,
+                                    Arithmetic arithmetic,
+                                    std::size_t grid_n = kDefaultGridSize);
+
+/// Extracts one feature point per stride-spaced window of @p rec, each
+/// built like window_features.
 std::vector<std::vector<double>> extract_window_features(
     const physio::Record& rec, std::size_t window_samples,
     std::size_t stride_samples, DetectorVersion version, Arithmetic arithmetic,
+    std::size_t grid_n = kDefaultGridSize);
+
+/// The same over a substitution-attacked stream: @p ecg_from's ECG and R
+/// peaks over @p abp_from's ABP and systolic peaks, for their common
+/// length. Both records are read in place, so no hybrid record is copied.
+std::vector<std::vector<double>> extract_window_features(
+    const physio::Record& ecg_from, const physio::Record& abp_from,
+    std::size_t window_samples, std::size_t stride_samples,
+    DetectorVersion version, Arithmetic arithmetic,
     std::size_t grid_n = kDefaultGridSize);
 
 }  // namespace sift::core

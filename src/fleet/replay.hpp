@@ -35,7 +35,9 @@ struct ReplayConfig {
 };
 
 /// Expensive to build (trains models, synthesises traces); build once and
-/// replay many times.
+/// replay many times. Records, models and streams are built one user (or
+/// session) per usable core through parallel::parallel_for, and equal a
+/// serial build's byte for byte.
 class ReplayFixture {
  public:
   /// @throws std::invalid_argument if sessions or distinct_users is 0.

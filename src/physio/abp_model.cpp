@@ -4,6 +4,8 @@
 #include <numbers>
 #include <random>
 
+#include "physio/gauss.hpp"
+
 namespace sift::physio {
 namespace {
 
@@ -19,10 +21,10 @@ double pulse_shape(const AbpMorphology& m, double dt) {
   const double decay =
       m.pulse_pressure_mmhg * std::exp(-(dt - m.upstroke_s) / m.decay_tau_s);
   const double notch_center = m.upstroke_s + m.notch_time_s;
-  const double dn = (dt - notch_center) / 0.025;
-  const double notch = -m.notch_depth_mmhg * std::exp(-0.5 * dn * dn);
-  const double db = (dt - notch_center - 0.08) / 0.04;
-  const double rebound = 0.5 * m.notch_depth_mmhg * std::exp(-0.5 * db * db);
+  const double notch =
+      -m.notch_depth_mmhg * gauss((dt - notch_center) / 0.025);
+  const double rebound =
+      0.5 * m.notch_depth_mmhg * gauss((dt - notch_center - 0.08) / 0.04);
   return decay + notch + rebound;
 }
 

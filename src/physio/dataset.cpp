@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <random>
 
+#include "parallel/parallel_for.hpp"
+
 namespace sift::physio {
 
 Record generate_record(const UserProfile& user, double duration_s,
@@ -26,11 +28,10 @@ Record generate_record(const UserProfile& user, double duration_s,
 std::vector<Record> generate_cohort_records(
     const std::vector<UserProfile>& cohort, double duration_s, double rate_hz,
     std::uint64_t salt) {
-  std::vector<Record> out;
-  out.reserve(cohort.size());
-  for (const UserProfile& u : cohort) {
-    out.push_back(generate_record(u, duration_s, rate_hz, salt));
-  }
+  std::vector<Record> out(cohort.size());
+  parallel::parallel_for(cohort.size(), [&](std::size_t u) {
+    out[u] = generate_record(cohort[u], duration_s, rate_hz, salt);
+  });
   return out;
 }
 

@@ -34,7 +34,8 @@ inline constexpr double kDefaultRateHz = 360.0;
 Record generate_record(const UserProfile& user, double duration_s,
                        double rate_hz = kDefaultRateHz, std::uint64_t salt = 0);
 
-/// Convenience: one record per cohort member.
+/// One record per cohort member, out[u] == generate_record(cohort[u], ...)
+/// bit for bit; members are synthesised in parallel (parallel::parallel_for).
 std::vector<Record> generate_cohort_records(
     const std::vector<UserProfile>& cohort, double duration_s,
     double rate_hz = kDefaultRateHz, std::uint64_t salt = 0);

@@ -4,12 +4,13 @@
 #include <numbers>
 #include <random>
 
+#include "physio/gauss.hpp"
+
 namespace sift::physio {
 namespace {
 
 double gaussian(double t, const Wave& w) {
-  const double d = (t - w.center_s) / w.width_s;
-  return w.amplitude_mv * std::exp(-0.5 * d * d);
+  return w.amplitude_mv * gauss((t - w.center_s) / w.width_s);
 }
 
 // Contribution of one beat's PQRST complex at offset dt from its R instant.

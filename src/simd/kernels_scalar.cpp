@@ -96,11 +96,6 @@ void scale_shift_scalar(const double* x, const double* shift,
   for (std::size_t i = 0; i < n; ++i) out[i] = (x[i] - shift[i]) / scale[i];
 }
 
-void normalize01_scalar(const double* x, double shift, double scale,
-                        double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = (x[i] - shift) / scale;
-}
-
 void square_scalar(const double* x, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = x[i] * x[i];
 }
@@ -124,7 +119,6 @@ const Kernels& scalar_kernels() noexcept {
       min_max_scalar,
       mean_var_scalar,
       scale_shift_scalar,
-      normalize01_scalar,
       square_scalar,
       five_point_derivative_scalar,
       detail::moving_window_integral_impl,

@@ -123,19 +123,6 @@ void scale_shift_sse2(const double* x, const double* shift,
   for (; i < n; ++i) out[i] = (x[i] - shift[i]) / scale[i];
 }
 
-void normalize01_sse2(const double* x, double shift, double scale, double* out,
-                      std::size_t n) {
-  const __m128d vshift = _mm_set1_pd(shift);
-  const __m128d vscale = _mm_set1_pd(scale);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d r =
-        _mm_div_pd(_mm_sub_pd(_mm_loadu_pd(x + i), vshift), vscale);
-    _mm_storeu_pd(out + i, r);
-  }
-  for (; i < n; ++i) out[i] = (x[i] - shift) / scale;
-}
-
 void square_sse2(const double* x, double* out, std::size_t n) {
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
@@ -221,7 +208,6 @@ const Kernels& sse2_kernels() noexcept {
       min_max_sse2,
       mean_var_sse2,
       scale_shift_sse2,
-      normalize01_sse2,
       square_sse2,
       five_point_derivative_sse2,
       detail::moving_window_integral_impl,

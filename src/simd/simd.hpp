@@ -89,10 +89,6 @@ struct Kernels {
   /// out[i] = (x[i] - shift[i]) / scale[i] — the fused scaler transform.
   void (*scale_shift)(const double* x, const double* shift,
                       const double* scale, double* out, std::size_t n);
-  /// out[i] = (x[i] - shift) / scale, broadcast affine (min-max and
-  /// z-score normalisation). In-place (out == x) allowed.
-  void (*normalize01)(const double* x, double shift, double scale,
-                      double* out, std::size_t n);
   /// out[i] = x[i]^2. In-place allowed.
   void (*square)(const double* x, double* out, std::size_t n);
   /// Pan-Tompkins 5-point FIR derivative with clamped left edge:
@@ -169,12 +165,6 @@ inline void scale_shift(std::span<const double> x,
          x.size() == out.size());
   active().scale_shift(x.data(), shift.data(), scale.data(), out.data(),
                        x.size());
-}
-
-inline void normalize01(std::span<const double> x, double shift, double scale,
-                        std::span<double> out) {
-  assert(x.size() == out.size());
-  active().normalize01(x.data(), shift, scale, out.data(), x.size());
 }
 
 inline void square(std::span<const double> x, std::span<double> out) {

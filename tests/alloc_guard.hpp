@@ -21,28 +21,39 @@
 namespace sift::testing {
 
 inline thread_local std::uint64_t g_thread_allocs = 0;
+inline thread_local std::uint64_t g_thread_alloc_bytes = 0;
 
 /// RAII scope: count() reports how many times this thread called a global
-/// allocation function since construction (or the last reset()).
+/// allocation function since construction (or the last reset()), bytes()
+/// how many bytes those calls asked for.
 class AllocGuard {
  public:
-  AllocGuard() : start_(g_thread_allocs) {}
+  AllocGuard() { reset(); }
 
   std::uint64_t count() const noexcept { return g_thread_allocs - start_; }
-  void reset() noexcept { start_ = g_thread_allocs; }
+  std::uint64_t bytes() const noexcept {
+    return g_thread_alloc_bytes - start_bytes_;
+  }
+  void reset() noexcept {
+    start_ = g_thread_allocs;
+    start_bytes_ = g_thread_alloc_bytes;
+  }
 
  private:
-  std::uint64_t start_;
+  std::uint64_t start_ = 0;
+  std::uint64_t start_bytes_ = 0;
 };
 
 inline void* counted_alloc(std::size_t n) {
   ++g_thread_allocs;
+  g_thread_alloc_bytes += n;
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
 
 inline void* counted_aligned_alloc(std::size_t n, std::size_t align) {
   ++g_thread_allocs;
+  g_thread_alloc_bytes += n;
   void* p = nullptr;
   if (align < sizeof(void*)) align = sizeof(void*);
   if (posix_memalign(&p, align, n ? n : 1) != 0) throw std::bad_alloc();
@@ -55,10 +66,12 @@ void* operator new(std::size_t n) { return sift::testing::counted_alloc(n); }
 void* operator new[](std::size_t n) { return sift::testing::counted_alloc(n); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
   ++sift::testing::g_thread_allocs;
+  sift::testing::g_thread_alloc_bytes += n;
   return std::malloc(n ? n : 1);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
   ++sift::testing::g_thread_allocs;
+  sift::testing::g_thread_alloc_bytes += n;
   return std::malloc(n ? n : 1);
 }
 void* operator new(std::size_t n, std::align_val_t a) {

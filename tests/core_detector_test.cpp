@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "alloc_guard.hpp"
 #include "attack/attack.hpp"
@@ -399,6 +400,37 @@ TEST_F(PipelineTest, MixedGeometriesShareOneArenaBitwise) {
   }
 }
 
+// --- training windows --------------------------------------------------------
+
+// Training builds every window in the thread's arena, so once that arena
+// has seen a grid size, a pass allocates only the returned feature
+// vectors: the same number of allocations and bytes at any grid. A fresh
+// Portrait per window would add the n x n cell grid (4 n^2 bytes) each.
+TEST(TrainingWindows, AllocationsDoNotScaleWithGrid) {
+  const auto cohort = physio::synthetic_cohort(1, 7);
+  const physio::Record rec = physio::generate_record(cohort[0], 30.0);
+  constexpr std::size_t kWindow = 1080;
+  constexpr std::size_t kStride = 540;
+  const auto measure = [&](std::size_t grid_n) {
+    (void)extract_window_features(rec, kWindow, kStride,
+                                  DetectorVersion::kOriginal,
+                                  Arithmetic::kDouble, grid_n);  // warm-up
+    sift::testing::AllocGuard guard;
+    const auto points = extract_window_features(
+        rec, kWindow, kStride, DetectorVersion::kOriginal, Arithmetic::kDouble,
+        grid_n);
+    EXPECT_EQ(points.size(), 19u);
+    return std::pair{guard.count(), guard.bytes()};
+  };
+  const auto small = measure(10);
+  const auto large = measure(120);
+  EXPECT_EQ(small.first, large.first);
+  EXPECT_EQ(small.second, large.second);
+  // One feature vector per window, plus the outer vector's growth.
+  EXPECT_LE(large.first, 19u + 8u);
+  EXPECT_LT(large.second, 120u * 120u);
+}
+
 // --- experiment harness -----------------------------------------------------------
 
 TEST(Experiment, SmallCohortReproducesTableIiShape) {
@@ -419,6 +451,16 @@ TEST(Experiment, RequiresAtLeastTwoUsers) {
   ExperimentConfig config;
   config.n_users = 1;
   EXPECT_THROW(generate_experiment_data(config), std::invalid_argument);
+}
+
+// A worker's exception reaches the caller: training records shorter than
+// one window make every train_user_model throw on its pool worker.
+TEST(Experiment, ShortTrainingRecordThrows) {
+  ExperimentConfig config;
+  config.n_users = 3;
+  config.train_duration_s = 1.0;
+  config.test_duration_s = 12.0;
+  EXPECT_THROW(run_detection_experiment(config), std::invalid_argument);
 }
 
 TEST(Experiment, PreGeneratedDataPathMatchesDirectPath) {

@@ -5,6 +5,7 @@
 // clean under SIFT_SANITIZE=thread.
 #include <gtest/gtest.h>
 #include <malloc.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <memory>
 #include <numeric>
 #include <random>
+#include <sstream>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -28,6 +30,7 @@
 #include "fleet/model_registry.hpp"
 #include "fleet/replay.hpp"
 #include "fleet/session_table.hpp"
+#include "io/model_file.hpp"
 #include "physio/dataset.hpp"
 
 namespace sift::fleet {
@@ -510,6 +513,92 @@ TEST(SessionTable, SessionsAreCreatedOncePerUser) {
   std::size_t visited = 0;
   table.for_each([&](int, const Session&) { ++visited; });
   EXPECT_EQ(visited, 5u);
+}
+
+// --- replay fixture: parallel start-up --------------------------------------
+
+std::string model_bytes(const core::UserModel& model) {
+  std::ostringstream os;
+  io::write_user_model(os, model);
+  return os.str();
+}
+
+// ReplayFixture synthesises and trains one user per pool worker. Every
+// model must match, byte for byte, what train_user_model makes on the
+// calling thread from serially synthesised records.
+TEST(ReplayFixtureStartup, ModelsMatchSerialTrainingByteForByte) {
+  constexpr core::DetectorVersion kTiers[] = {
+      core::DetectorVersion::kOriginal, core::DetectorVersion::kSimplified,
+      core::DetectorVersion::kReduced};
+  for (const bool all_tiers : {false, true}) {
+    ReplayConfig config;
+    config.sessions = 2;
+    config.seconds = 3.0;
+    config.distinct_users = 3;
+    config.train_seconds = 30.0;
+    config.seed = 99;
+    config.train_all_tiers = all_tiers;
+    const ReplayFixture fixture = ReplayFixture::build(config);
+
+    std::vector<physio::Record> training;
+    for (const auto& user : physio::synthetic_cohort(3, config.seed)) {
+      training.push_back(physio::generate_record(user, config.train_seconds));
+    }
+    const auto provider = fixture.provider();
+    for (std::size_t k = 0; k < training.size(); ++k) {
+      std::vector<physio::Record> donors;
+      for (std::size_t j = 0; j < training.size(); ++j) {
+        if (j != k) donors.push_back(training[j]);
+      }
+      core::SiftConfig sift;
+      const int user = static_cast<int>(k);
+      EXPECT_EQ(model_bytes(*provider(user)),
+                model_bytes(core::train_user_model(training[k], donors, sift)))
+          << "user " << k;
+      if (!all_tiers) continue;
+      const auto tiered = fixture.provider_tiered();
+      for (const auto v : kTiers) {
+        sift.version = v;
+        EXPECT_EQ(model_bytes(*tiered(user, v)),
+                  model_bytes(core::train_user_model(training[k], donors, sift)))
+            << "user " << k << ", tier " << core::to_string(v);
+      }
+    }
+  }
+}
+
+// build_session_streams on one core (the pool's width is 1, so every
+// session is built on the caller in order) and on every usable core must
+// give the same packets, bit for bit.
+TEST(ReplayFixtureStartup, SessionStreamsMatchOneCoreBuild) {
+  ReplayConfig config;
+  config.sessions = 9;
+  config.seconds = 6.0;
+  config.distinct_users = 3;
+  config.seed = 5;
+
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(sched_getcpu(), &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  const auto serial = build_session_streams(config);
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+  const auto parallel = build_session_streams(config);
+
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t s = 0; s < serial.size(); ++s) {
+    ASSERT_EQ(parallel[s].size(), serial[s].size()) << "session " << s;
+    for (std::size_t p = 0; p < serial[s].size(); ++p) {
+      const wiot::Packet& a = parallel[s][p];
+      const wiot::Packet& b = serial[s][p];
+      EXPECT_EQ(a.kind, b.kind);
+      EXPECT_EQ(a.seq, b.seq);
+      EXPECT_EQ(a.samples, b.samples);  // vector ==: bitwise for non-NaN
+      EXPECT_EQ(a.peaks, b.peaks);
+    }
+  }
 }
 
 // --- engine vs single-threaded reference ------------------------------------

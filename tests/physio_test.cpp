@@ -2,7 +2,9 @@
 // substitutes for the PhysioBank Fantasia recordings (DESIGN.md §2).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "physio/abp_model.hpp"
@@ -216,6 +218,66 @@ TEST(Dataset, CohortRecordsAlignLengths) {
   for (const auto& r : records) {
     EXPECT_EQ(r.ecg.size(), r.abp.size());
     EXPECT_EQ(r.ecg.size(), static_cast<std::size_t>(12.0 * kDefaultRateHz));
+  }
+}
+
+// FNV-1a over every sample's bit pattern and every annotation index.
+std::uint64_t record_hash(const Record& rec, std::uint64_t h) {
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h = (h ^ ((v >> (8 * b)) & 0xFF)) * 0x100000001B3ULL;
+    }
+  };
+  mix(static_cast<std::uint64_t>(rec.user_id));
+  for (const auto* ch : {&rec.ecg, &rec.abp}) {
+    mix(ch->size());
+    for (double v : ch->samples()) mix(std::bit_cast<std::uint64_t>(v));
+  }
+  for (const auto* peaks : {&rec.r_peaks, &rec.systolic_peaks}) {
+    mix(peaks->size());
+    for (std::size_t p : *peaks) mix(p);
+  }
+  return h;
+}
+
+bool bitwise_equal(const Record& a, const Record& b) {
+  return record_hash(a, 0xCBF29CE484222325ULL) ==
+             record_hash(b, 0xCBF29CE484222325ULL) &&
+         a.ecg.size() == b.ecg.size() && a.r_peaks == b.r_peaks &&
+         a.systolic_peaks == b.systolic_peaks;
+}
+
+// Pins the synthesised bytes: two users' 30 s records, recorded before the
+// synthesis skipped std::exp for arguments below -750 (where exp is +0, so
+// the skipped term is amplitude * 0.0 either way). Any change to the ECG,
+// ABP or RR models moves this value.
+TEST(Dataset, RecordBytesArePinned) {
+  const auto cohort = synthetic_cohort(2, 2017);
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const UserProfile& user : cohort) {
+    h = record_hash(generate_record(user, 30.0), h);
+  }
+  EXPECT_EQ(h, 0x8CF5C35CA53DCC8BULL);
+}
+
+// generate_cohort_records synthesises users in parallel; every record must
+// be bit-identical to the one generate_record makes on the calling thread.
+TEST(Dataset, CohortRecordsMatchSerialBitwise) {
+  for (const std::size_t users : {1u, 3u, 6u}) {
+    const auto cohort = synthetic_cohort(users, 41 + users);
+    for (const double seconds : {1.0, 7.5, 30.0}) {
+      for (const std::uint64_t salt : {0ULL, 1ULL, 123457ULL}) {
+        const auto parallel =
+            generate_cohort_records(cohort, seconds, kDefaultRateHz, salt);
+        ASSERT_EQ(parallel.size(), users);
+        for (std::size_t u = 0; u < users; ++u) {
+          const Record serial =
+              generate_record(cohort[u], seconds, kDefaultRateHz, salt);
+          EXPECT_TRUE(bitwise_equal(parallel[u], serial))
+              << "user " << u << ", " << seconds << " s, salt " << salt;
+        }
+      }
+    }
   }
 }
 

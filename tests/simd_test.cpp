@@ -187,20 +187,6 @@ TEST_P(SimdLevelTest, ScaleShiftMatchesScalarBitwise) {
   }
 }
 
-TEST_P(SimdLevelTest, Normalize01MatchesScalarBitwiseAndInPlace) {
-  for (std::size_t n : kSizes) {
-    const auto x = adversarial_vector(n, 14);
-    std::vector<double> out0(n, -1.0), out1(n, -1.0);
-    k().normalize01(x.data(), 0.25, 3.0, out0.data(), n);
-    ref().normalize01(x.data(), 0.25, 3.0, out1.data(), n);
-    EXPECT_TRUE(BitEq(out0, out1)) << "n=" << n;
-
-    auto inplace = x;
-    k().normalize01(inplace.data(), 0.25, 3.0, inplace.data(), n);
-    EXPECT_TRUE(BitEq(inplace, out1)) << "in-place n=" << n;
-  }
-}
-
 TEST_P(SimdLevelTest, SquareMatchesScalarBitwiseAndInPlace) {
   for (std::size_t n : kSizes) {
     const auto x = adversarial_vector(n, 17);
