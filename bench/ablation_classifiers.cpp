@@ -40,18 +40,8 @@ ml::Dataset training_set(const physio::Record& wearer,
   const std::size_t n_negative = data.size();
   ml::Dataset positives;
   for (const auto& donor : donors) {
-    physio::Record hybrid;
-    const std::size_t len = std::min(wearer.ecg.size(), donor.ecg.size());
-    hybrid.ecg = donor.ecg.slice(0, len);
-    hybrid.abp = wearer.abp.slice(0, len);
-    for (std::size_t p : donor.r_peaks) {
-      if (p < len) hybrid.r_peaks.push_back(p);
-    }
-    for (std::size_t p : wearer.systolic_peaks) {
-      if (p < len) hybrid.systolic_peaks.push_back(p);
-    }
-    for (auto& x : core::extract_window_features(hybrid, window, stride,
-                                                 version,
+    for (auto& x : core::extract_window_features(donor, wearer, window,
+                                                 stride, version,
                                                  core::Arithmetic::kDouble)) {
       positives.push_back({std::move(x), +1});
     }

@@ -4,12 +4,16 @@
 //   BM_CohortRecords     physio::generate_cohort_records, 4 users x 120 s
 //   BM_BuildModelsOnly   fleet::ReplayFixture::build_models_only, 4 users
 //                        (the records above plus per-user training)
+//   BM_TrainUserModels   one user's three tier models on one thread (3
+//                        donors, 120 s each): /walks:3 is three
+//                        core::train_user_model calls, /walks:1 is one
+//                        core::train_user_models walk
 //
-// Both fan out one user per core through parallel::parallel_for. Each runs
-// twice: /cores:1 confines the benchmark thread to the core it is on, so
-// the pool's width is 1 and the work runs serially on the caller (the
-// serial-equivalent baseline), and /cores:0 leaves the affinity mask as it
-// found it. Nothing is cached between iterations: every one synthesises
+// The first two fan out one user per core through parallel::parallel_for.
+// Each runs twice: /cores:1 confines the benchmark thread to the core it is
+// on, so the pool's width is 1 and the work runs serially on the caller
+// (the serial-equivalent baseline), and /cores:0 leaves the affinity mask
+// as it found it. Nothing is cached between iterations: every one synthesises
 // and trains from scratch. Wall time (UseRealTime) is the figure; CPU time
 // counts only the benchmark thread.
 //
@@ -19,6 +23,7 @@
 
 #include <sched.h>
 
+#include "core/trainer.hpp"
 #include "fleet/replay.hpp"
 #include "physio/dataset.hpp"
 #include "physio/user_profile.hpp"
@@ -83,6 +88,36 @@ BENCHMARK(BM_BuildModelsOnly)
     ->Arg(0)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+void BM_TrainUserModels(benchmark::State& state) {
+  const auto records = physio::generate_cohort_records(
+      physio::synthetic_cohort(kUsers, 2017), kTrainSeconds);
+  std::vector<const physio::Record*> donors;
+  for (std::size_t j = 1; j < records.size(); ++j) {
+    donors.push_back(&records[j]);
+  }
+  const bool one_walk = state.range(0) == 1;
+  for (auto _ : state) {
+    if (one_walk) {
+      auto models = core::train_user_models(records[0], donors, {});
+      benchmark::DoNotOptimize(models.data());
+    } else {
+      for (const core::DetectorVersion tier : core::kTiers) {
+        core::SiftConfig config;
+        config.version = tier;
+        auto model = core::train_user_model(records[0], donors, config);
+        benchmark::DoNotOptimize(model.svm.w.data());
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(core::kTiers.size()));
+}
+BENCHMARK(BM_TrainUserModels)
+    ->ArgName("walks")
+    ->Arg(3)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

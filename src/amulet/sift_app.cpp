@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "amulet/energy_model.hpp"
-#include "core/count_matrix.hpp"
 #include "core/windows.hpp"
 
 namespace sift::amulet {
@@ -16,8 +15,8 @@ SiftApp::SiftApp(core::UserModel model, const physio::Record& prestored,
       prestored_(prestored),
       scheduler_(scheduler),
       display_(display),
-      window_samples_(static_cast<std::size_t>(
-          model_.config.window_s * prestored.ecg.sample_rate_hz() + 0.5)) {
+      window_samples_(core::to_samples(model_.config.window_s,
+                                       prestored.ecg.sample_rate_hz())) {
   if (window_samples_ == 0 || prestored_.ecg.size() < window_samples_) {
     throw std::invalid_argument("SiftApp: trace shorter than one window");
   }
@@ -81,18 +80,17 @@ void SiftApp::on_feature_extraction(std::size_t window_index) {
 
   // Built in the thread's arena: no portrait grid or matrix per window.
   core::WindowScratch& scratch = core::thread_scratch();
-  const core::Portrait& portrait = core::make_window_portrait_into(
-      prestored_, start, window_samples_, scratch, model_.config.grid_n);
-  scratch.matrix.rebuild(portrait, model_.config.grid_n);
-  const core::CountMatrix& matrix = scratch.matrix;
+  core::FeatureRowExtractor rows(model_.config.grid_n,
+                                 model_.config.arithmetic, scratch);
+  rows.set_window(prestored_, prestored_, start, window_samples_);
 
   // Classification uses the configured on-device arithmetic; the op counts
   // come from an instrumented pass over the identical feature math.
-  staged_features_ = core::extract_features(
-      portrait, matrix, model_.config.version, model_.config.arithmetic);
+  const auto features = rows.features(model_.config.version);
+  staged_features_.assign(features.begin(), features.end());
   core::OpCounts feature_ops;
-  core::extract_features_counted(portrait, matrix, model_.config.version,
-                                 feature_ops);
+  core::extract_features_counted(scratch.portrait, scratch.matrix,
+                                 model_.config.version, feature_ops);
 
   stats_.feature_extraction.ops += feature_ops;
   stats_.feature_extraction.ops += portrait_ops(

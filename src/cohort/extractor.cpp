@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/portrait.hpp"
+#include "core/windows.hpp"
 
 namespace sift::cohort {
 
@@ -15,7 +15,6 @@ void StreamingWindowExtractor::reset(const Config& config) {
   config_ = config;
   base_ = 0;
   next_start_ = 0;
-  windows_emitted_ = 0;
   ecg_.clear();
   abp_.clear();
   r_peaks_.clear();
@@ -34,28 +33,16 @@ void StreamingWindowExtractor::feed_abp(
   sys_peaks_.insert(sys_peaks_.end(), sys_peaks.begin(), sys_peaks.end());
 }
 
-std::size_t StreamingWindowExtractor::covered_samples() const noexcept {
-  return base_ + std::min(ecg_.size(), abp_.size());
-}
-
 void StreamingWindowExtractor::drain(const WindowFn& fn) {
   const std::size_t window = config_.window_samples;
-  const std::size_t covered = covered_samples();
+  // Samples of the shorter channel so far: the walkable stream length.
+  const std::size_t covered = base_ + std::min(ecg_.size(), abp_.size());
   while (next_start_ + window <= covered) {
     const std::size_t rel = next_start_ - base_;
-    const auto window_peaks = [&](const std::vector<std::size_t>& peaks,
-                                  std::vector<std::size_t>& out) {
-      out.clear();
-      const auto lo =
-          std::lower_bound(peaks.begin(), peaks.end(), next_start_);
-      const auto hi = std::lower_bound(lo, peaks.end(), next_start_ + window);
-      for (auto it = lo; it != hi; ++it) out.push_back(*it - next_start_);
-    };
-    window_peaks(r_peaks_, win_r_);
-    window_peaks(sys_peaks_, win_s_);
+    core::peaks_in_range_into(r_peaks_, next_start_, window, win_r_);
+    core::peaks_in_range_into(sys_peaks_, next_start_, window, win_s_);
     fn(std::span<const double>(ecg_).subspan(rel, window),
        std::span<const double>(abp_).subspan(rel, window), win_r_, win_s_);
-    ++windows_emitted_;
     next_start_ += config_.stride_samples;
   }
   compact();
@@ -77,28 +64,6 @@ void StreamingWindowExtractor::compact() {
   };
   drop_peaks(r_peaks_);
   drop_peaks(sys_peaks_);
-}
-
-void FeatureRowExtractor::set_window(std::span<const double> ecg,
-                                     std::span<const double> abp,
-                                     std::span<const std::size_t> r_peaks,
-                                     std::span<const std::size_t> sys_peaks,
-                                     double sample_rate_hz) {
-  core::PortraitInput in;
-  in.ecg = ecg;
-  in.abp = abp;
-  in.r_peaks = r_peaks;
-  in.sys_peaks = sys_peaks;
-  in.sample_rate_hz = sample_rate_hz;
-  scratch_.portrait.rebuild(in, grid_n_);
-  scratch_.matrix.rebuild(scratch_.portrait, grid_n_);
-}
-
-std::span<const double> FeatureRowExtractor::features(
-    core::DetectorVersion version) {
-  core::extract_features_into(scratch_.portrait, scratch_.matrix, version,
-                              arithmetic_, row_);
-  return row_.span();
 }
 
 }  // namespace sift::cohort

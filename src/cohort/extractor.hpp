@@ -8,24 +8,16 @@
 // rolling buffers compact behind the last emitted window. The two channels
 // feed independently — that is what makes the substitution-attack positive
 // class free: stream the donor's ECG against the wearer's ABP and the
-// extractor produces exactly the windows core::train_user_model's
-// hybrid_record would (windows stop at the shorter channel, matching the
-// min-length truncation there).
-//
-// FeatureRowExtractor turns one emitted window into feature rows for any
-// of the paper's detector tiers, reusing portrait/count-matrix storage
-// across windows (the same WindowScratch discipline as the device hot
-// path). Feature values are bit-identical to core::extract_window_features
-// on the equivalent in-memory record.
+// extractor produces exactly the windows core::train_user_model walks over
+// the donor's ECG and the wearer's ABP (windows stop at the shorter
+// channel, as they do there). Each window then goes through
+// core::FeatureRowExtractor, the same window step as the in-memory walk.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <span>
 #include <vector>
-
-#include "core/features.hpp"
-#include "core/window_scratch.hpp"
 
 namespace sift::cohort {
 
@@ -58,49 +50,18 @@ class StreamingWindowExtractor {
   /// buffers. Call after each feed (or batch of feeds).
   void drain(const WindowFn& fn);
 
-  std::size_t windows_emitted() const noexcept { return windows_emitted_; }
-  /// Samples of the shorter channel so far (the walkable stream length).
-  std::size_t covered_samples() const noexcept;
-
  private:
   void compact();
 
   Config config_;
   std::size_t base_ = 0;        ///< absolute index of buffer sample 0
   std::size_t next_start_ = 0;  ///< absolute start of the next window
-  std::size_t windows_emitted_ = 0;
   std::vector<double> ecg_;
   std::vector<double> abp_;
   std::vector<std::size_t> r_peaks_;    ///< absolute, ascending
   std::vector<std::size_t> sys_peaks_;  ///< absolute, ascending
   std::vector<std::size_t> win_r_;      ///< window-relative scratch
   std::vector<std::size_t> win_s_;
-};
-
-/// One window in, one feature row per requested tier out. Owns the
-/// portrait/count-matrix scratch; rebuilds them once per window and
-/// extracts any number of tiers from the same matrix, exactly like the
-/// detector's multi-tier hot path.
-class FeatureRowExtractor {
- public:
-  FeatureRowExtractor(std::size_t grid_n, core::Arithmetic arithmetic)
-      : grid_n_(grid_n), arithmetic_(arithmetic) {}
-
-  /// Rebuilds the portrait and count matrix for one window.
-  void set_window(std::span<const double> ecg, std::span<const double> abp,
-                  std::span<const std::size_t> r_peaks,
-                  std::span<const std::size_t> sys_peaks,
-                  double sample_rate_hz);
-
-  /// Features of the current window for @p version. The returned span is
-  /// valid until the next features()/set_window() call.
-  std::span<const double> features(core::DetectorVersion version);
-
- private:
-  std::size_t grid_n_;
-  core::Arithmetic arithmetic_;
-  core::WindowScratch scratch_;
-  core::FeatureVector row_;
 };
 
 }  // namespace sift::cohort

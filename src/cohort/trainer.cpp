@@ -1,54 +1,29 @@
 #include "cohort/trainer.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <optional>
-#include <random>
 #include <stdexcept>
 
 #include "cohort/archive.hpp"
 #include "cohort/dedup.hpp"
 #include "cohort/extractor.hpp"
-#include "cohort/feature_store.hpp"
-#include "ml/svm.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace sift::cohort {
 namespace {
 
-constexpr core::DetectorVersion kTiers[] = {core::DetectorVersion::kOriginal,
-                                            core::DetectorVersion::kSimplified,
-                                            core::DetectorVersion::kReduced};
-constexpr std::size_t kTierCount = 3;
-
-std::size_t to_samples(double seconds, double rate_hz) {
-  return static_cast<std::size_t>(seconds * rate_hz + 0.5);
-}
-
 /// Everything one worker reuses across users. Capacity warms up on the
 /// first user; steady-state training then stays allocation-light.
 struct WorkerScratch {
-  explicit WorkerScratch(const CohortConfig& config)
-      : rows(config.sift.grid_n, config.sift.arithmetic) {}
-
   StreamingWindowExtractor extractor;
-  FeatureRowExtractor rows;
   WindowDedup dedup;
-  FeatureStore stores[kTierCount];
-  std::vector<int> labels;
-  std::vector<std::uint32_t> sel;
-  std::vector<std::uint32_t> pos_idx;
-  std::vector<double> xmat;
-  // Archive chunk staging.
+  core::TrainingSet set;
+  // Archive chunk staging; the extractor copies what it is fed, so one
+  // set serves both sides of a hybrid stream.
   std::vector<double> ecg;
   std::vector<double> abp;
   std::vector<std::size_t> r_peaks;
   std::vector<std::size_t> sys_peaks;
-  // Second set for the wearer's side of a hybrid stream.
-  std::vector<double> ecg2;
-  std::vector<double> abp2;
-  std::vector<std::size_t> r_peaks2;
-  std::vector<std::size_t> sys_peaks2;
 };
 
 std::shared_ptr<const std::vector<std::uint8_t>> fetch(
@@ -107,18 +82,14 @@ CohortStats CohortTrainer::run(std::span<const int> user_ids,
                                std::to_string(uid));
     }
     const double rate = wearer.rate_hz();
-    const std::size_t window = to_samples(config_.sift.window_s, rate);
-    const std::size_t stride = to_samples(config_.sift.train_stride_s, rate);
-    if (window == 0 || stride == 0 || wearer.total_samples() < window) {
-      throw std::invalid_argument(
-          "CohortTrainer: record shorter than window for user " +
-          std::to_string(uid));
-    }
+    const std::size_t window = core::to_samples(config_.sift.window_s, rate);
+    const std::size_t stride =
+        core::to_samples(config_.sift.train_stride_s, rate);
 
     s.dedup.reset();
-    for (std::size_t t = 0; t < kTierCount; ++t) {
-      s.stores[t].reset(core::feature_count(kTiers[t]));
-    }
+    s.set.reset(core::kTiers);
+    core::FeatureRowExtractor rows(config_.sift.grid_n,
+                                   config_.sift.arithmetic);
 
     std::uint64_t windows_walked = 0;
     const StreamingWindowExtractor::WindowFn consume =
@@ -126,10 +97,8 @@ CohortStats CohortTrainer::run(std::span<const int> user_ids,
             std::span<const std::size_t> r, std::span<const std::size_t> sp) {
           ++windows_walked;
           if (config_.dedup && !s.dedup.insert(ecg, abp, r, sp)) return;
-          s.rows.set_window(ecg, abp, r, sp, rate);
-          for (std::size_t t = 0; t < kTierCount; ++t) {
-            s.stores[t].push_row(s.rows.features(kTiers[t]));
-          }
+          rows.set_window(ecg, abp, r, sp, rate);
+          s.set.push(rows);
         };
 
     // Negative class: the wearer's own stream.
@@ -139,8 +108,8 @@ CohortStats CohortTrainer::run(std::span<const int> user_ids,
       s.extractor.feed_abp(s.abp, s.sys_peaks);
       s.extractor.drain(consume);
     }
-    const std::size_t n_negative = s.stores[0].rows();
-    if (n_negative == 0) {
+    s.set.negatives = s.set.rows();
+    if (s.set.negatives == 0) {
       throw std::invalid_argument(
           "CohortTrainer: record shorter than window for user " +
           std::to_string(uid));
@@ -185,76 +154,41 @@ CohortStats CohortTrainer::run(std::span<const int> user_ids,
         }
         if (more_wearer) {
           more_wearer =
-              wearer_abp.next_chunk(s.ecg2, s.abp2, s.r_peaks2, s.sys_peaks2);
-          if (more_wearer) s.extractor.feed_abp(s.abp2, s.sys_peaks2);
+              wearer_abp.next_chunk(s.ecg, s.abp, s.r_peaks, s.sys_peaks);
+          if (more_wearer) s.extractor.feed_abp(s.abp, s.sys_peaks);
         }
         s.extractor.drain(consume);
       }
     }
-    const std::size_t n_positive = s.stores[0].rows() - n_negative;
+    s.set.positives = s.set.rows() - s.set.negatives;
 
     UserTrainStat stat;
     stat.user_id = uid;
-    stat.negatives = static_cast<std::uint32_t>(n_negative);
+    stat.negatives = static_cast<std::uint32_t>(s.set.negatives);
     stat.dedup_hits = static_cast<std::uint32_t>(s.dedup.hits());
 
     if (store == nullptr) {
       // Extraction-only pass: report the raw (unbalanced) positive count.
-      stat.positives = static_cast<std::uint32_t>(n_positive);
+      stat.positives = static_cast<std::uint32_t>(s.set.positives);
     } else {
-      if (n_positive == 0) {
+      if (s.set.positives == 0) {
         throw std::invalid_argument("CohortTrainer: donors too short for user " +
                                     std::to_string(uid));
       }
-      // Class balancing, reproducing core::train_user_model exactly: a
-      // fresh generator seeded with config.seed shuffles the (empty)
-      // augmented pool — zero draws — then the positive pool, which is
-      // truncated to the negative count. Shuffling an index vector of the
-      // same length consumes the identical draw sequence, so the kept
-      // positives and their order match the AoS path bit for bit.
-      std::mt19937_64 rng(config_.sift.seed);
-      s.pos_idx.resize(n_positive);
-      std::iota(s.pos_idx.begin(), s.pos_idx.end(), 0u);
-      std::shuffle(s.pos_idx.begin(), s.pos_idx.end(), rng);
-      if (s.pos_idx.size() > n_negative) s.pos_idx.resize(n_negative);
-
-      s.sel.clear();
-      s.labels.clear();
-      for (std::size_t i = 0; i < n_negative; ++i) {
-        s.sel.push_back(static_cast<std::uint32_t>(i));
-        s.labels.push_back(-1);
-      }
-      for (std::uint32_t p : s.pos_idx) {
-        s.sel.push_back(static_cast<std::uint32_t>(n_negative) + p);
-        s.labels.push_back(+1);
-      }
-      stat.positives = static_cast<std::uint32_t>(s.pos_idx.size());
-
-      // Per tier: columnar scaler fit, gather-standardise into a row-major
-      // matrix, DCD on the matrix. The selection is tier-independent (the
-      // AoS path re-seeds its generator per tier over equally sized pools).
-      for (std::size_t t = 0; t < kTierCount; ++t) {
-        const std::size_t d = core::feature_count(kTiers[t]);
-        core::UserModel model;
-        model.user_id = uid;
-        model.config = config_.sift;
-        model.config.version = kTiers[t];
-        model.scaler.fit_columns(s.stores[t].column_pointers(), s.sel);
-        s.xmat.resize(s.sel.size() * d);
-        model.scaler.transform_columns_into(s.stores[t].column_pointers(),
-                                            s.sel, s.xmat);
-        model.svm = ml::DcdTrainer{}.train_matrix(s.xmat, d, s.labels,
-                                                  config_.sift.svm);
+      for (const core::UserModel& model :
+           core::fit_user_models(uid, config_.sift, s.set)) {
         store->save(model);
         ++out.models_written;
       }
+      stat.positives =
+          static_cast<std::uint32_t>(s.set.sel.size() - s.set.negatives);
     }
 
     ++out.users_trained;
     out.windows_extracted += windows_walked;
     out.dedup_hits += s.dedup.hits();
     out.hash_collisions += s.dedup.collisions();
-    out.rows_stored += s.stores[0].rows();
+    out.rows_stored += s.set.rows();
     out.per_user.push_back(stat);
   };
 
@@ -267,7 +201,7 @@ CohortStats CohortTrainer::run(std::span<const int> user_ids,
   parallel::parallel_for(
       n_users,
       [&](std::size_t i, std::size_t w) {
-        if (!scratch[w]) scratch[w].emplace(config_);
+        if (!scratch[w]) scratch[w].emplace();
         train_one(i, *scratch[w], outs[w]);
       },
       n_workers);

@@ -3,19 +3,20 @@
 // For every wearer the pipeline streams the user's own archive (negative
 // class), then each donor's ECG zipped against the wearer's ABP (the
 // substitution-attack positive class), deduplicates bit-identical windows,
-// extracts all three detector tiers per unique window into columnar
-// feature stores, and fits scaler + SVM per tier through the column
-// kernels. Users are independent, so a work-claiming pool of threads
-// processes them with zero shared mutable state — each worker owns its
-// extractor/dedup/store scratch and its own slice of the output, merged
-// deterministically (sorted by user id) at the end.
+// and pushes all three detector tiers per unique window into a
+// core::TrainingSet. core::fit_user_models, the one fit core's trainer
+// also runs, then balances the classes and fits scaler + SVM per tier.
+// Users are independent, so a work-claiming pool of threads processes
+// them with zero shared mutable state — each worker owns its
+// extractor/dedup/training-set scratch and its own slice of the output,
+// merged deterministically (sorted by user id) at the end.
 //
 // Bit-identity contract: on a duplicate-free corpus the models this
 // pipeline writes are byte-identical (io::write_user_model output) to
-// core::train_user_model run per user per tier on the decoded records.
-// Every numeric step was chosen for that property — see
-// ml::StandardScaler::fit_columns, ml::DcdTrainer::train_matrix and the
-// sequential-by-design simd::masked_mean_var kernel.
+// core::train_user_models on the decoded records. The balancing and the
+// fit are shared code, so what remains to match is the window stream:
+// archive chunks through StreamingWindowExtractor must yield the windows
+// the in-memory walk yields, in the same order.
 #pragma once
 
 #include <cstddef>

@@ -13,10 +13,6 @@
 namespace sift::core {
 namespace {
 
-constexpr DetectorVersion kTiers[] = {DetectorVersion::kOriginal,
-                                      DetectorVersion::kSimplified,
-                                      DetectorVersion::kReduced};
-
 /// Effective ROC score of one verdict. The deployed detector alerts when
 /// the margin crosses zero OR the peak data-check trips; a tripped check is
 /// an unconditional alert, so for threshold sweeps it must dominate every
@@ -37,28 +33,24 @@ std::string fmt(double v) {
 AttackMatrixResult run_attack_matrix(const AttackMatrixConfig& config) {
   const ExperimentConfig& exp = config.experiment;
   const double rate = physio::kDefaultRateHz;
-  const auto window = static_cast<std::size_t>(exp.sift.window_s * rate + 0.5);
+  const std::size_t window = to_samples(exp.sift.window_s, rate);
 
   const ExperimentData data = generate_experiment_data(exp);
   const std::size_t n_users = data.cohort.size();
   const std::size_t n_windows = data.testing[0].ecg.size() / window;
 
-  // Phase 1: one model per (tier, user), trained once and reused across
-  // every attack — training dominates the wall clock, so the matrix costs
-  // 3×cohort trainings regardless of corpus size.
-  std::vector<std::vector<UserModel>> models(std::size(kTiers));
-  for (std::size_t t = 0; t < std::size(kTiers); ++t) {
-    models[t].resize(n_users);
-    SiftConfig sift = exp.sift;
-    sift.version = kTiers[t];
-    parallel::parallel_for(n_users, [&, sift](std::size_t u) {
-      std::vector<const physio::Record*> donors;
-      for (std::size_t v = 0; v < n_users; ++v) {
-        if (v != u) donors.push_back(&data.training[v]);
-      }
-      models[t][u] = train_user_model(data.training[u], donors, sift);
-    });
-  }
+  // Phase 1: every tier's model per user from one walk over its training
+  // windows, reused across every attack — training dominates the wall
+  // clock, so the matrix costs one training walk per user regardless of
+  // corpus size. models[u][tier_rank(tier)].
+  std::vector<std::vector<UserModel>> models(n_users);
+  parallel::parallel_for(n_users, [&](std::size_t u) {
+    std::vector<const physio::Record*> donors;
+    for (std::size_t v = 0; v < n_users; ++v) {
+      if (v != u) donors.push_back(&data.training[v]);
+    }
+    models[u] = train_user_models(data.training[u], donors, exp.sift);
+  });
 
   AttackMatrixResult result;
   result.config = config;
@@ -101,7 +93,7 @@ AttackMatrixResult run_attack_matrix(const AttackMatrixConfig& config) {
     for (auto& e : evals) e.resize(n_users);
     parallel::parallel_for(n_users, [&](std::size_t u) {
       for (std::size_t t = 0; t < std::size(kTiers); ++t) {
-        const Detector detector(models[t][u]);
+        const Detector detector(models[u][t]);
         PerUser& out = evals[t][u];
 
         const auto verdicts = detector.classify_record(scattered[u].record);

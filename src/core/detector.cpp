@@ -41,8 +41,7 @@ DetectionResult Detector::classify(const PortraitInput& window) const {
 std::vector<DetectionResult> Detector::classify_record(
     const physio::Record& rec) const {
   const double rate = rec.ecg.sample_rate_hz();
-  const auto window =
-      static_cast<std::size_t>(model_->config.window_s * rate + 0.5);
+  const std::size_t window = to_samples(model_->config.window_s, rate);
   std::vector<DetectionResult> out;
   if (window == 0 || rec.ecg.size() < window) return out;
   out.reserve(rec.ecg.size() / window);

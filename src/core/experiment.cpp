@@ -26,8 +26,7 @@ ExperimentResult run_detection_experiment(const ExperimentConfig& config,
                                           const ExperimentData& data,
                                           attack::Attack& attack) {
   const double rate = physio::kDefaultRateHz;
-  const auto window =
-      static_cast<std::size_t>(config.sift.window_s * rate + 0.5);
+  const std::size_t window = to_samples(config.sift.window_s, rate);
 
   const std::size_t n_users = data.cohort.size();
 

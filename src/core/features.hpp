@@ -26,6 +26,7 @@
 //     backend's saturating divide).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <optional>
 #include <string>
@@ -52,6 +53,11 @@ constexpr std::size_t feature_count(DetectorVersion v) noexcept {
 constexpr int tier_rank(DetectorVersion v) noexcept {
   return static_cast<int>(v);
 }
+
+/// Every version, in tier_rank order.
+inline constexpr std::array<DetectorVersion, 3> kTiers = {
+    DetectorVersion::kOriginal, DetectorVersion::kSimplified,
+    DetectorVersion::kReduced};
 
 /// Next-cheaper version, or nullopt at the bottom (Reduced).
 constexpr std::optional<DetectorVersion> tier_below(DetectorVersion v) noexcept {

@@ -80,7 +80,7 @@ std::vector<std::vector<double>> OnlineAdapter::make_positive_reservoir(
     const physio::Record& wearer, std::span<const physio::Record> donors,
     const SiftConfig& config, std::size_t count) {
   const double rate = wearer.ecg.sample_rate_hz();
-  const auto window = static_cast<std::size_t>(config.window_s * rate + 0.5);
+  const std::size_t window = to_samples(config.window_s, rate);
   std::vector<std::vector<double>> out;
   for (const physio::Record& donor : donors) {
     for (auto& x : extract_window_features(donor, wearer, window, window,

@@ -9,13 +9,20 @@
 // is exactly what a substitution attack produces. Training is offline
 // ("need not be done on [the] Amulet platform"); only the fitted scaler and
 // SVM weights ship to the device (see ml::emit_c_prediction_function).
+//
+// One training path: a walk pushes each window's row per tier into a
+// columnar TrainingSet, and fit_user_models balances the classes and fits
+// scaler + SVM per tier. train_user_model(s) walk in-memory records and
+// cohort::CohortTrainer walks archive streams, both into that one fit.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/feature_store.hpp"
 #include "core/features.hpp"
+#include "core/windows.hpp"
 #include "ml/scaler.hpp"
 #include "ml/svm.hpp"
 #include "physio/dataset.hpp"
@@ -68,5 +75,51 @@ UserModel train_user_model(const physio::Record& wearer,
 UserModel train_user_model(const physio::Record& wearer,
                            std::span<const physio::Record> donors,
                            const SiftConfig& config);
+
+/// The three tiers' models from one walk over the windows, in tier_rank
+/// order (kTiers); config.version is ignored. Model i is byte-identical
+/// to train_user_model with config.version = kTiers[i].
+/// @throws std::invalid_argument as train_user_model.
+std::vector<UserModel> train_user_models(
+    const physio::Record& wearer, std::span<const physio::Record* const> donors,
+    const SiftConfig& config);
+
+/// One user's training rows, one columnar store per tier being trained,
+/// in three blocks: [negatives | substitution positives | augmented
+/// positives]. A walk pushes rows and sets the block sizes, and
+/// fit_user_models reads them. A trainer that keeps one set across users
+/// reuses its capacity.
+struct TrainingSet {
+  /// Empties every store and block, and trains @p train_tiers from now on.
+  void reset(std::span<const DetectorVersion> train_tiers);
+
+  /// Appends @p rows' current window as one row in each tier's store.
+  void push(FeatureRowExtractor& rows);
+
+  /// Rows pushed so far, per tier.
+  std::size_t rows() const noexcept { return stores.front().rows(); }
+
+  std::vector<DetectorVersion> tiers;
+  std::vector<FeatureStore> stores;  ///< index-aligned with tiers
+  std::size_t negatives = 0;
+  std::size_t positives = 0;  ///< substitution positives
+  std::size_t augmented = 0;
+  /// The balanced selection the last fit trained on: row indexes and
+  /// their labels.
+  std::vector<std::uint32_t> sel;
+  std::vector<int> labels;
+};
+
+/// The one class-balancing rule and fit. A generator seeded with
+/// config.seed shuffles the augmented block, which keeps at most half the
+/// negative count, then the substitution block, which fills the rest of
+/// the negative count. The selection [negatives | kept substitution | kept
+/// augmented] is drawn once and serves every tier: per tier the scaler is
+/// fitted over the selected rows, which are standardised into a row-major
+/// matrix for the SVM. Returns one model per set.tiers entry, in that
+/// order, each carrying @p config with its tier.
+/// @throws std::invalid_argument when a class has no rows.
+std::vector<UserModel> fit_user_models(int user_id, const SiftConfig& config,
+                                       TrainingSet& set);
 
 }  // namespace sift::core

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "core/count_matrix.hpp"
-#include "core/feature_vector.hpp"
-
 namespace sift::core {
 
 void peaks_in_range_into(std::span<const std::size_t> peaks, std::size_t start,
@@ -53,21 +50,6 @@ const Portrait& portrait_into(const physio::Record& ecg_from,
   return scratch.portrait;
 }
 
-std::vector<double> features_into(const physio::Record& ecg_from,
-                                  const physio::Record& abp_from,
-                                  std::size_t start, std::size_t len,
-                                  DetectorVersion version,
-                                  Arithmetic arithmetic, std::size_t grid_n,
-                                  WindowScratch& scratch) {
-  const Portrait& portrait =
-      portrait_into(ecg_from, abp_from, start, len, scratch, grid_n);
-  scratch.matrix.rebuild(portrait, grid_n);
-  FeatureVector features;
-  extract_features_into(portrait, scratch.matrix, version, arithmetic,
-                        features);
-  return features.to_vector();
-}
-
 }  // namespace
 
 Portrait make_window_portrait(const physio::Record& rec, std::size_t start,
@@ -84,12 +66,28 @@ const Portrait& make_window_portrait_into(const physio::Record& rec,
   return portrait_into(rec, rec, start, len, scratch, grid_n);
 }
 
-std::vector<double> window_features(const physio::Record& rec,
-                                    std::size_t start, std::size_t len,
-                                    DetectorVersion version,
-                                    Arithmetic arithmetic, std::size_t grid_n) {
-  return features_into(rec, rec, start, len, version, arithmetic, grid_n,
-                       thread_scratch());
+void FeatureRowExtractor::set_window(const physio::Record& ecg_from,
+                                     const physio::Record& abp_from,
+                                     std::size_t start, std::size_t len) {
+  scratch_.matrix.rebuild(
+      portrait_into(ecg_from, abp_from, start, len, scratch_, grid_n_),
+      grid_n_);
+}
+
+void FeatureRowExtractor::set_window(std::span<const double> ecg,
+                                     std::span<const double> abp,
+                                     std::span<const std::size_t> r_peaks,
+                                     std::span<const std::size_t> sys_peaks,
+                                     double sample_rate_hz) {
+  scratch_.portrait.rebuild({ecg, abp, r_peaks, sys_peaks, sample_rate_hz},
+                            grid_n_);
+  scratch_.matrix.rebuild(scratch_.portrait, grid_n_);
+}
+
+std::span<const double> FeatureRowExtractor::features(DetectorVersion version) {
+  extract_features_into(scratch_.portrait, scratch_.matrix, version,
+                        arithmetic_, row_);
+  return row_.span();
 }
 
 std::vector<std::vector<double>> extract_window_features(
@@ -101,11 +99,12 @@ std::vector<std::vector<double>> extract_window_features(
   if (window_samples == 0 || stride_samples == 0 || len < window_samples) {
     return out;
   }
-  WindowScratch& scratch = thread_scratch();
+  FeatureRowExtractor rows(grid_n, arithmetic);
   for (std::size_t start = 0; start + window_samples <= len;
        start += stride_samples) {
-    out.push_back(features_into(ecg_from, abp_from, start, window_samples,
-                                version, arithmetic, grid_n, scratch));
+    rows.set_window(ecg_from, abp_from, start, window_samples);
+    const auto x = rows.features(version);
+    out.emplace_back(x.begin(), x.end());
   }
   return out;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <iterator>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -78,42 +77,41 @@ ReplayFixture ReplayFixture::build(const ReplayConfig& config) {
   const auto cohort = physio::synthetic_cohort(cohort_n, config.seed);
   auto training = physio::generate_cohort_records(cohort, config.train_seconds);
 
-  // One user per worker: its default model, then (train_all_tiers) one
-  // per tier, into slots k * per_user + j. Each model depends only on the
-  // records, so the slots hold what a serial loop would.
-  constexpr core::DetectorVersion kTiers[] = {
-      core::DetectorVersion::kOriginal, core::DetectorVersion::kSimplified,
-      core::DetectorVersion::kReduced};
-  const std::size_t per_user = config.train_all_tiers ? 1 + std::size(kTiers) : 1;
-  std::vector<core::UserModel> trained(config.distinct_users * per_user);
+  // One user per worker into slot k: its default model (SiftConfig{}, the
+  // Original tier), or with train_all_tiers every tier from one walk. Each
+  // model depends only on the records, so the slots hold what a serial
+  // loop would.
+  std::vector<std::vector<core::UserModel>> trained(config.distinct_users);
   parallel::parallel_for(config.distinct_users, [&](std::size_t k) {
     std::vector<const physio::Record*> donors;
     for (std::size_t j = 0; j < training.size(); ++j) {
       if (j != k) donors.push_back(&training[j]);
     }
-    core::SiftConfig sift_config;
-    trained[k * per_user] =
-        core::train_user_model(training[k], donors, sift_config);
-    for (std::size_t t = 1; t < per_user; ++t) {
-      sift_config.version = kTiers[t - 1];
-      trained[k * per_user + t] =
-          core::train_user_model(training[k], donors, sift_config);
+    const core::SiftConfig sift_config;
+    if (config.train_all_tiers) {
+      trained[k] = core::train_user_models(training[k], donors, sift_config);
+    } else {
+      trained[k].push_back(
+          core::train_user_model(training[k], donors, sift_config));
     }
   });
 
   // Copy every model here, on the calling thread, so the long-lived
   // weights sit in its heap and the workers' heaps hold only freed
   // training scratch, which build_session_streams' trim_heap() hands back.
-  if (config.train_all_tiers) fixture.tiered_models_.resize(std::size(kTiers));
+  // trained[k] starts with the Original model either way (kTiers is in
+  // tier_rank order), which is the default model.
+  static_assert(core::kTiers[0] == core::DetectorVersion::kOriginal);
+  if (config.train_all_tiers) {
+    fixture.tiered_models_.resize(core::kTiers.size());
+  }
   for (std::size_t k = 0; k < config.distinct_users; ++k) {
-    fixture.models_.push_back(
-        std::make_shared<const core::UserModel>(trained[k * per_user]));
-    for (std::size_t t = 1; t < per_user; ++t) {
-      fixture
-          .tiered_models_[static_cast<std::size_t>(
-              core::tier_rank(kTiers[t - 1]))]
-          .push_back(std::make_shared<const core::UserModel>(
-              trained[k * per_user + t]));
+    for (std::size_t t = 0; t < trained[k].size(); ++t) {
+      auto model = std::make_shared<const core::UserModel>(trained[k][t]);
+      if (t == 0) fixture.models_.push_back(model);
+      if (config.train_all_tiers) {
+        fixture.tiered_models_[t].push_back(std::move(model));
+      }
     }
   }
   trained.clear();

@@ -1,5 +1,6 @@
 #include "wiot/scenario.hpp"
 
+#include "core/windows.hpp"
 #include "wiot/sensor_node.hpp"
 
 namespace sift::wiot {
@@ -9,8 +10,8 @@ ScenarioResult run_scenario(const core::Detector& detector,
                             const std::vector<bool>& ground_truth,
                             const ScenarioConfig& config) {
   const double rate = source.ecg.sample_rate_hz();
-  const auto window_samples = static_cast<std::size_t>(
-      detector.model().config.window_s * rate + 0.5);
+  const std::size_t window_samples =
+      core::to_samples(detector.model().config.window_s, rate);
 
   SensorNode ecg_node(ChannelKind::kEcg, source, config.samples_per_packet);
   SensorNode abp_node(ChannelKind::kAbp, source, config.samples_per_packet);

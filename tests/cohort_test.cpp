@@ -16,9 +16,9 @@
 #include "cohort/archive.hpp"
 #include "cohort/dedup.hpp"
 #include "cohort/extractor.hpp"
-#include "cohort/feature_store.hpp"
 #include "cohort/model_store.hpp"
 #include "cohort/trainer.hpp"
+#include "core/feature_store.hpp"
 #include "core/trainer.hpp"
 #include "core/windows.hpp"
 #include "io/model_file.hpp"
@@ -142,8 +142,8 @@ TEST(StreamingExtractor, MatchesBatchWindowWalk) {
   ASSERT_TRUE(reader.valid());
   cohort::StreamingWindowExtractor extractor;
   extractor.reset({window, stride});
-  cohort::FeatureRowExtractor rows(core::kDefaultGridSize,
-                                   core::Arithmetic::kDouble);
+  core::FeatureRowExtractor rows(core::kDefaultGridSize,
+                                 core::Arithmetic::kDouble);
   std::vector<std::vector<double>> got;
   const auto consume = [&](std::span<const double> ecg,
                            std::span<const double> abp,
@@ -465,7 +465,7 @@ TEST(ColumnarMl, FitColumnsMatchesAosFit) {
   std::uniform_real_distribution<double> dist(-3.0, 3.0);
   const std::size_t d = 8;
   ml::Dataset data;
-  cohort::FeatureStore store;
+  core::FeatureStore store;
   store.reset(d);
   for (std::size_t i = 0; i < 37; ++i) {
     std::vector<double> x(d);

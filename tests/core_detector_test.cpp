@@ -4,7 +4,10 @@
 
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <span>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "alloc_guard.hpp"
@@ -14,6 +17,8 @@
 #include "core/experiment.hpp"
 #include "core/trainer.hpp"
 #include "core/windows.hpp"
+#include "io/framed.hpp"
+#include "io/model_file.hpp"
 #include "physio/dataset.hpp"
 #include "simd/simd.hpp"
 
@@ -429,6 +434,98 @@ TEST(TrainingWindows, AllocationsDoNotScaleWithGrid) {
   // One feature vector per window, plus the outer vector's growth.
   EXPECT_LE(large.first, 19u + 8u);
   EXPECT_LT(large.second, 120u * 120u);
+}
+
+// --- trainer golden ----------------------------------------------------------
+
+struct ModelDigest {
+  std::uint32_t crc = 0;
+  std::size_t size = 0;
+  bool operator==(const ModelDigest&) const = default;
+};
+
+ModelDigest digest(const UserModel& model) {
+  std::ostringstream os;
+  io::write_user_model(os, model);
+  const std::string bytes = os.str();
+  return {io::crc32(std::span(
+              reinterpret_cast<const std::uint8_t*>(bytes.data()),
+              bytes.size())),
+          bytes.size()};
+}
+
+// crc32 and size of io::write_user_model's output for 4 users (cohort seed
+// 2017, 60 s of training each, every other user a donor) x 3 tiers x
+// augment_attack_positives {off, on} x the 3 arithmetics. Recorded from the
+// row-wise trainer (ml::Dataset rows, StandardScaler::fit(Dataset),
+// DcdTrainer::train) before training moved to the columnar fit, so it
+// checks the columnar path against an independent implementation.
+TEST(TrainerGolden, ModelBytesMatchParent) {
+  constexpr ModelDigest kGolden[] = {
+      // augment off, double: users 0-3 x (Original, Simplified, Reduced)
+      {0xce4d7c53u, 689}, {0x57ed0cc8u, 690}, {0x91d52e1fu, 494},
+      {0xcb15814eu, 687}, {0xc5a63c5fu, 691}, {0xc2a0b3f1u, 497},
+      {0x7b0a6802u, 688}, {0xb99f7ad8u, 691}, {0xd21cffa0u, 497},
+      {0x4391143fu, 689}, {0x91f54480u, 692}, {0x328ceb66u, 499},
+      // augment off, float32: users 0-3 x (Original, Simplified, Reduced)
+      {0x2e1a9d69u, 689}, {0x63c977e7u, 693}, {0x77e8c027u, 497},
+      {0xa57b85ccu, 682}, {0x416b6760u, 684}, {0x9a6eafb9u, 498},
+      {0x74db1711u, 690}, {0x770b9c45u, 692}, {0x7379a462u, 498},
+      {0x794583abu, 688}, {0x02108bcau, 690}, {0xb55af099u, 497},
+      // augment off, Q16: users 0-3 x (Original, Simplified, Reduced)
+      {0x3893f4b3u, 688}, {0xb8613f12u, 690}, {0xec6d7536u, 495},
+      {0x3f04df7cu, 689}, {0xc0f5a9d7u, 691}, {0x75559cfcu, 497},
+      {0xcecfe37du, 689}, {0xc35e9029u, 693}, {0xab107f61u, 496},
+      {0xfe1e08ccu, 679}, {0xdbf60e95u, 693}, {0xef5eeba4u, 499},
+      // augment on, double: users 0-3 x (Original, Simplified, Reduced)
+      {0xc604c9d5u, 687}, {0x6deef2cbu, 692}, {0xe350d134u, 496},
+      {0x41f0b068u, 691}, {0x9a536575u, 690}, {0xe0b11e28u, 497},
+      {0xc44d876bu, 691}, {0x1095ee7du, 690}, {0xc60f28e3u, 498},
+      {0xa6e159d9u, 689}, {0xb763c541u, 693}, {0x3b4bbd1fu, 498},
+      // augment on, float32: users 0-3 x (Original, Simplified, Reduced)
+      {0xfa38c9fdu, 691}, {0xbb27e5b8u, 692}, {0x96b81cfeu, 496},
+      {0x9b5f96c7u, 692}, {0x66156a4au, 691}, {0x2bf534c4u, 499},
+      {0x10657023u, 691}, {0x4bc814a6u, 691}, {0x886c1646u, 498},
+      {0xdd75808bu, 692}, {0xec8edf0cu, 692}, {0xb2c340c3u, 499},
+      // augment on, Q16: users 0-3 x (Original, Simplified, Reduced)
+      {0x7a7f66feu, 691}, {0xae99fc07u, 683}, {0xfbde736du, 488},
+      {0xc858c87eu, 691}, {0x91b2c940u, 690}, {0x4eee4b68u, 496},
+      {0xc610cfa2u, 691}, {0xe54dca83u, 679}, {0x68fabf0bu, 497},
+      {0xb17e6a7fu, 691}, {0x2c308510u, 689}, {0x95b2ce3fu, 497},
+  };
+  const auto records =
+      physio::generate_cohort_records(physio::synthetic_cohort(4, 2017), 60.0);
+  std::size_t i = 0;
+  for (const bool augment : {false, true}) {
+    for (const auto arithmetic :
+         {Arithmetic::kDouble, Arithmetic::kFloat32, Arithmetic::kFixedQ16}) {
+      SiftConfig config;
+      config.arithmetic = arithmetic;
+      config.augment_attack_positives = augment;
+      for (std::size_t k = 0; k < records.size(); ++k) {
+        std::vector<const physio::Record*> donors;
+        for (std::size_t j = 0; j < records.size(); ++j) {
+          if (j != k) donors.push_back(&records[j]);
+        }
+        const auto tiers = train_user_models(records[k], donors, config);
+        ASSERT_EQ(tiers.size(), kTiers.size());
+        for (std::size_t t = 0; t < kTiers.size(); ++t, ++i) {
+          config.version = kTiers[t];
+          const std::string where = std::string("augment ") +
+                                    (augment ? "on" : "off") + ", " +
+                                    to_string(arithmetic) + ", user " +
+                                    std::to_string(k) + ", " +
+                                    to_string(kTiers[t]);
+          EXPECT_EQ(tiers[t].config.version, kTiers[t]) << where;
+          EXPECT_TRUE(digest(tiers[t]) == kGolden[i]) << where;
+          EXPECT_TRUE(digest(train_user_model(records[k], donors, config)) ==
+                      kGolden[i])
+              << where;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(i, std::size(kGolden));
 }
 
 // --- experiment harness -----------------------------------------------------------

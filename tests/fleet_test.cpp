@@ -525,7 +525,8 @@ std::string model_bytes(const core::UserModel& model) {
 
 // ReplayFixture synthesises and trains one user per pool worker. Every
 // model must match, byte for byte, what train_user_model makes on the
-// calling thread from serially synthesised records.
+// calling thread from serially synthesised records, and a tiered fixture
+// shares one Original model between its default and tiered providers.
 TEST(ReplayFixtureStartup, ModelsMatchSerialTrainingByteForByte) {
   constexpr core::DetectorVersion kTiers[] = {
       core::DetectorVersion::kOriginal, core::DetectorVersion::kSimplified,
@@ -557,6 +558,10 @@ TEST(ReplayFixtureStartup, ModelsMatchSerialTrainingByteForByte) {
           << "user " << k;
       if (!all_tiers) continue;
       const auto tiered = fixture.provider_tiered();
+      // The default model is the Original tier's entry, trained once.
+      EXPECT_EQ(provider(user),
+                tiered(user, core::DetectorVersion::kOriginal))
+          << "user " << k;
       for (const auto v : kTiers) {
         sift.version = v;
         EXPECT_EQ(model_bytes(*tiered(user, v)),
