@@ -211,8 +211,15 @@ SessionCursors FleetEngine::restore_session(int user_id,
   return cursors;
 }
 
-SessionCursors FleetEngine::cursors_for_resume(int user_id) {
+SessionCursors FleetEngine::cursors(int user_id) {
   SessionCursors cursors;  // {0, 0}: unknown user starts from the beginning
+  table_.if_session(table_.shard_of(user_id), user_id,
+                    [&](Session& s) { cursors = s.cursors(); });
+  return cursors;
+}
+
+SessionCursors FleetEngine::cursors_for_resume(int user_id) {
+  SessionCursors cursors;
   table_.if_session(table_.shard_of(user_id), user_id, [&](Session& s) {
     cursors = s.cursors();
     s.arm_resume_grace();

@@ -226,8 +226,7 @@ class FleetEngine {
   }
   std::uint64_t alerts() const noexcept { return alerts_->value(); }
 
-  /// Point-in-time sum of every inbound ring's depth (what a stats reply
-  /// and the load driver's settle loop observe).
+  /// Point-in-time sum of every inbound ring's depth (a stats reply field).
   std::size_t queue_depth() const;
 
   /// The worker that owns @p user_id's session for this engine's lifetime.
@@ -252,10 +251,14 @@ class FleetEngine {
   /// @throws std::runtime_error on geometry mismatch or truncated state.
   SessionCursors restore_session(int user_id, io::StateReader& reader);
 
-  /// The per-channel durable ingest cursors a reconnecting client should
-  /// resume from; arms the session's resume grace (Session::resume_exempts).
-  /// Never creates a session: an unknown user gets {0, 0}. Thread-safe
-  /// (shard lock), callable from the network thread.
+  /// The per-channel durable ingest cursors, read under the shard lock the
+  /// worker processes the session in: a cursor that covers a stream means
+  /// every window and counter behind it is final. Never creates a session:
+  /// an unknown user gets {0, 0}. Callable from the network thread.
+  SessionCursors cursors(int user_id);
+  /// The same read for a reconnecting client about to resume from it; also
+  /// arms the session's resume grace (Session::resume_exempts). Only a
+  /// reconnect may call this: an armed grace sheds a deep replay uncharged.
   SessionCursors cursors_for_resume(int user_id);
 
   /// Charges one suspicion step against @p user_id's session — the hook a

@@ -262,28 +262,26 @@ DriveResult drive_load(const DriveConfig& config,
   if (streams.empty()) return result;
 
   // The observer stays on a clean wire (no shim), but a chaos-armed or
-  // restarting server can still reset it — reconnect and retry instead of
-  // failing the drive.
+  // restarting server can still reset it: reconnect and retry until the
+  // deadline instead of failing the drive.
   std::optional<Client> observer;
-  auto safe_stats = [&]() -> std::optional<wire::Stats> {
-    try {
-      if (!observer) observer.emplace(config.address);
-      return observer->stats();
-    } catch (const std::exception&) {
-      observer.reset();
-      return std::nullopt;
-    }
-  };
-  bool got = false;
-  for (int i = 0; i < 250 && !got; ++i) {
-    if (const auto s = safe_stats()) {
-      result.before = *s;
-      got = true;
-    } else {
+  auto stats_by = [&](std::chrono::steady_clock::time_point deadline)
+      -> std::optional<wire::Stats> {
+    for (;;) {
+      try {
+        if (!observer) observer.emplace(config.address);
+        return observer->stats();
+      } catch (const std::exception&) {
+        observer.reset();
+      }
+      if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
-  }
-  if (!got) return result;  // server unreachable; nothing to drive
+  };
+  const auto before =
+      stats_by(std::chrono::steady_clock::now() + std::chrono::seconds(5));
+  if (!before) return result;  // server unreachable; nothing to drive
+  result.before = *before;
 
   const std::size_t connections =
       std::max<std::size_t>(1, std::min(config.connections, streams.size()));
@@ -323,29 +321,13 @@ DriveResult drive_load(const DriveConfig& config,
   }
 
   // "Accepted + rejected >= sent" cannot be the rule: re-sent overlap
-  // inflates accepts and cursor skips deflate them. Settled means: every
-  // stream confirmed consumed by the server's cursors, queues empty, and
-  // the window count stable across three consecutive polls.
-  const auto deadline = sent_at + config.settle_timeout;
-  std::uint64_t last_windows = ~std::uint64_t{0};
-  int stable = 0;
-  for (;;) {
-    if (const auto now = safe_stats()) {
-      result.after = *now;
-      if (all_completed && now->queue_depth == 0 &&
-          now->windows_classified == last_windows) {
-        if (++stable >= 3) {
-          result.settled = true;
-          break;
-        }
-      } else {
-        stable = 0;
-      }
-      last_windows = now->windows_classified;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+  // inflates accepts and cursor skips deflate them. Settled means every
+  // stream is confirmed by cursors the senders read under the worker's
+  // shard lock, so every window and counter behind them is already final
+  // and one stats read is the settled snapshot.
+  const auto after = stats_by(sent_at + config.settle_timeout);
+  if (after) result.after = *after;
+  result.settled = all_completed && after.has_value();
   result.total_seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();

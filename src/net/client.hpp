@@ -9,8 +9,10 @@
 // exact per-session packet streams fleet::build_session_streams produces
 // for a config, fans them over N resuming senders (sessions partitioned by
 // connection, time-major order per connection, so per-user FIFO order is
-// preserved end to end), then polls server stats until every stream is
-// confirmed consumed and the queues are empty. With the same
+// preserved end to end). Each sender confirms its streams with plain cursor
+// reads; only a reconnect's queries (after the reconnect hello, before its
+// first packet) resume a session. Confirmed cursors make every window
+// final, so one stats read closes the drive. With the same
 // seed/users/seconds, an in-process replay of the same config must produce
 // identical per-user verdict streams — that equality is the subsystem's
 // correctness test.
@@ -74,7 +76,8 @@ class Client {
   wire::Stats stats(
       std::chrono::milliseconds timeout = std::chrono::milliseconds(10000));
 
-  /// Round-trips a cursor query: where should this wearer's stream resume?
+  /// Round-trips a cursor query: a resume (the server arms the replay grace)
+  /// after a reconnect hello and before any packet, else a plain read.
   /// @throws wire::Error on timeout or a broken reply stream.
   wire::Cursors cursors(
       std::int32_t user_id,
@@ -119,7 +122,7 @@ struct ResumeConfig {
 struct ResumeResult {
   std::uint64_t packets_sent = 0;  ///< wire sends, including re-sent overlap
   std::uint64_t reconnects = 0;
-  std::uint64_t resumes = 0;         ///< cursor queries that answered
+  std::uint64_t resumes = 0;         ///< reconnect cursor queries answered
   std::uint64_t packets_skipped = 0; ///< already durable; not re-sent
   /// Every stream CONSUMED: completion is confirmed against the server's
   /// cursors, not inferred from successful sends — a gateway that dies with
@@ -158,10 +161,10 @@ struct DriveConfig {
 struct DriveResult {
   std::uint64_t packets_sent = 0;
   double send_seconds = 0.0;   ///< wall time for the send fan-out
-  double total_seconds = 0.0;  ///< send + settle
-  bool settled = false;        ///< every stream consumed, queues empty
+  double total_seconds = 0.0;  ///< send + the closing stats read
+  bool settled = false;        ///< every stream's cursors confirmed
   wire::Stats before;          ///< server counters when the drive began
-  wire::Stats after;           ///< ... and after settling
+  wire::Stats after;           ///< ... and once every stream was confirmed
   // Resilience accounting, summed over the senders (ResumeResult).
   std::uint64_t reconnects = 0;
   std::uint64_t resumes = 0;
@@ -170,9 +173,9 @@ struct DriveResult {
 
 /// Synthesises the streams for @p config and drives them through
 /// send_streams_resuming, one sender per connection; see file header.
-/// Never throws on connect failure: the observer retries for ~5 s and the
-/// senders until settle_timeout, and an unreachable or unsettled server
-/// reports settled = false.
+/// Never throws on connect failure: the observer retries for 5 s before the
+/// drive, it and the senders until settle_timeout, and an unreachable or
+/// unsettled server reports settled = false.
 DriveResult drive_load(const DriveConfig& config);
 
 /// Same, over caller-provided per-session streams (streams.size() sessions):

@@ -340,10 +340,11 @@ NetServer::FrameAction NetServer::on_frame(
           protocol_errors_->add();
           return FrameAction::kClose;
         }
-        // Count the reconnect announcement only on the connection's first
-        // hello — a mid-stream repeat is harmless but not a new reconnect.
-        if (!conn.greeted && (hello.flags & wire::kHelloFlagReconnect) != 0) {
-          reconnects_->add();
+        // Only the connection's first hello counts: a mid-stream repeat is
+        // harmless but neither a new reconnect nor a new resume.
+        if (!conn.greeted) {
+          conn.resuming = (hello.flags & wire::kHelloFlagReconnect) != 0;
+          if (conn.resuming) reconnects_->add();
         }
         conn.greeted = true;
         return FrameAction::kContinue;
@@ -353,6 +354,7 @@ NetServer::FrameAction NetServer::on_frame(
           protocol_errors_->add();
           return FrameAction::kClose;
         }
+        conn.resuming = false;  // the resend has begun: queries now read
         const std::int32_t user = wire::decode_packet(payload, conn.packet);
         packets_in_->add();
         if (config_.rate_limit_pps > 0 && !take_token(conn)) {
@@ -497,13 +499,13 @@ void NetServer::send_stats(Connection& conn) {
 }
 
 void NetServer::send_cursors(Connection& conn, std::int32_t user_id) {
-  wire::Cursors cursors;
-  cursors.user_id = user_id;
-  const fleet::SessionCursors resumed = engine_.cursors_for_resume(user_id);
-  cursors.ecg = resumed.ecg;
-  cursors.abp = resumed.abp;
-  resumes_->add();
-  encoder_.cursor_reply(conn.out, cursors);
+  // A reconnect's queries ahead of its first packet are the resume; any
+  // other query (a sender confirming delivery) is a plain read.
+  const fleet::SessionCursors at = conn.resuming
+                                       ? engine_.cursors_for_resume(user_id)
+                                       : engine_.cursors(user_id);
+  if (conn.resuming) resumes_->add();
+  encoder_.cursor_reply(conn.out, {user_id, at.ecg, at.abp});
   if (!flush_out(conn)) close_conn(conn);
 }
 

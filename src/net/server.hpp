@@ -131,6 +131,7 @@ class NetServer {
     std::int32_t pending_user = 0;
     bool has_pending = false;  ///< packet decoded but engine said would-block
     bool greeted = false;      ///< hello seen (required first frame)
+    bool resuming = false;     ///< reconnect hello seen, no PACKET yet
     bool gated = false;        ///< EPOLLIN removed (backpressure)
     bool saw_eof = false;
     bool want_write = false;   ///< EPOLLOUT armed for a partial reply
@@ -210,7 +211,7 @@ class NetServer {
   fleet::Counter* abandoned_ = nullptr;
   fleet::Counter* fleet_rejected_ = nullptr;  ///< fleet.packets_rejected
   fleet::Counter* reconnects_ = nullptr;      ///< hellos with the reconnect flag
-  fleet::Counter* resumes_ = nullptr;         ///< cursor queries served
+  fleet::Counter* resumes_ = nullptr;         ///< queries that armed a resume
   fleet::Counter* stall_reaps_ = nullptr;     ///< stalled peers reaped
   fleet::Counter* rate_limited_ = nullptr;    ///< packets shed by the bucket
   fleet::Counter* accept_deferrals_ = nullptr;

@@ -969,6 +969,119 @@ TEST(NetResumeTest, ReconnectQueriesCursorsAndResentOverlapShedsQuietly) {
   EXPECT_EQ(h.counter("net.resumes"), 1u);
 }
 
+/// Polls @p client's cursor query until both channel cursors cover @p user's
+/// stream (one past its highest seq), as a sender confirming delivery does.
+bool confirm_delivery(Client& client, std::int32_t user,
+                      const std::vector<wiot::Packet>& packets) {
+  std::uint32_t ecg = 0, abp = 0;
+  for (const auto& p : packets) {
+    std::uint32_t& c = p.kind == wiot::ChannelKind::kEcg ? ecg : abp;
+    c = std::max(c, p.seq + 1);
+  }
+  return wait_until([&] {
+    const wire::Cursors cursors = client.cursors(user);
+    return cursors.ecg >= ecg && cursors.abp >= abp;
+  });
+}
+
+TEST(NetResumeTest, DeliveryConfirmationIsAReadSoALaterReplayIsCharged) {
+  // A sender that confirms delivery on its own connection is not resuming:
+  // its cursor queries must leave the replay grace disarmed, so the same
+  // stream replayed later on a fresh connection is charged as a replay.
+  FleetConfig config = base_config();
+  config.anti_replay.replay_window = 4;
+  const auto& packets = shared_fixture().session_packets(0);
+  std::uint64_t golden_windows = 0;
+  {
+    FleetEngine engine(shared_fixture().provider(), config);
+    for (const auto& p : packets) engine.ingest(0, p);
+    engine.drain();
+    golden_windows = engine.windows_classified();
+  }
+
+  Harness h(config);
+  h.server->start();
+  Client first(h.address());
+  for (const auto& p : packets) first.send_packet(0, p);
+  ASSERT_TRUE(confirm_delivery(first, 0, packets));
+  // Covering cursors were read under the worker's shard lock: every window
+  // behind them is already counted.
+  EXPECT_EQ(h.engine->windows_classified(), golden_windows);
+  first.close();
+
+  Client replay(h.address());
+  for (const auto& p : packets) replay.send_packet(0, p);
+  replay.flush();
+  ASSERT_TRUE(wait_until([&] {
+    return h.counter("net.packets_streamed") == 2 * packets.size();
+  }));
+  h.server->stop();
+  h.engine->drain();
+
+  EXPECT_GT(h.counter("fleet.seq_anomalies"), 0u);
+  EXPECT_GT(h.counter("fleet.replay_dropped"), 0u);
+  EXPECT_EQ(h.counter("net.resumes"), 0u);
+  EXPECT_EQ(h.counter("net.reconnects"), 0u);
+  EXPECT_EQ(h.engine->windows_classified(), golden_windows);
+}
+
+TEST(NetResumeTest, ReconnectCountsOneResumePerSessionThroughConfirmation) {
+  // Query, resend, confirm: only the queries ahead of the first packet are
+  // the resume, so each session counts exactly one net.resumes.
+  FleetConfig config = base_config();
+  config.anti_replay.replay_window = 4;
+  const std::vector<std::int32_t> users = {0, 1, 2};
+  std::uint64_t golden_windows = 0;
+  {
+    FleetEngine engine(shared_fixture().provider(), config);
+    for (const std::int32_t u : users) {
+      for (const auto& p : shared_fixture().session_packets(u)) {
+        engine.ingest(u, p);
+      }
+    }
+    engine.drain();
+    golden_windows = engine.windows_classified();
+  }
+
+  Harness h(config);
+  h.server->start();
+  std::uint64_t total = 0;
+  {
+    Client first(h.address());
+    for (const std::int32_t u : users) {
+      for (const auto& p : shared_fixture().session_packets(u)) {
+        first.send_packet(u, p);
+        ++total;
+      }
+    }
+    first.close();
+    ASSERT_TRUE(wait_until(
+        [&] { return h.counter("net.packets_streamed") == total; }));
+  }
+
+  Client second(h.address(), /*greet=*/true, wire::kHelloFlagReconnect);
+  for (const std::int32_t u : users) (void)second.cursors(u);
+  for (const std::int32_t u : users) {
+    for (const auto& p : shared_fixture().session_packets(u)) {
+      second.send_packet(u, p);
+    }
+  }
+  for (const std::int32_t u : users) {
+    ASSERT_TRUE(
+        confirm_delivery(second, u, shared_fixture().session_packets(u)));
+  }
+  ASSERT_TRUE(wait_until(
+      [&] { return h.counter("net.packets_streamed") == 2 * total; }));
+  h.server->stop();
+  h.engine->drain();
+
+  EXPECT_EQ(h.counter("net.reconnects"), 1u);
+  EXPECT_EQ(h.counter("net.resumes"), users.size());
+  EXPECT_EQ(h.counter("fleet.seq_anomalies"), 0u);
+  EXPECT_EQ(h.counter("fleet.suspect_sessions"), 0u);
+  EXPECT_EQ(h.engine->windows_classified(), golden_windows);
+}
+
 TEST(NetResumeTest, CursorQueryForUnknownUserStartsFromZeroWithoutASession) {
   Harness h;
   h.server->start();

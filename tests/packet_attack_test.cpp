@@ -472,6 +472,33 @@ TEST_F(AntiReplayTest, ReplayOlderThanHandedOutCursorIsChargedAfterCleanResume) 
             run(config, *clean_).windows);
 }
 
+TEST_F(AntiReplayTest, CursorReadLeavesTheGraceDisarmed) {
+  // The read a sender confirms delivery with returns the same cursors as
+  // the resume query but arms nothing: replaying the prefix afterwards is
+  // charged wherever it lies deeper than replay_window. After the resume
+  // query the identical replay is a resend and sheds uncharged.
+  FleetConfig config = base_config();
+  config.workers = 1;
+  config.anti_replay.suspicion_threshold =
+      std::numeric_limits<std::uint64_t>::max();
+  const std::uint32_t window = config.anti_replay.replay_window;
+  ASSERT_GT(kResumeAt, window);
+  const auto replay_after = [&](bool resume) {
+    FleetEngine engine(provider(), config);
+    EXPECT_TRUE(feed_and_settle(engine, seq_in(0, kResumeAt)));
+    const SessionCursors at =
+        resume ? engine.cursors_for_resume(0) : engine.cursors(0);
+    EXPECT_EQ(at.ecg, kResumeAt);
+    EXPECT_EQ(at.abp, kResumeAt);
+    for (const auto& p : seq_in(0, kResumeAt)) engine.ingest(0, p);
+    engine.drain();
+    return engine.metrics().counter("fleet.replay_dropped").value();
+  };
+  // Seqs below kResumeAt - window, on both channels.
+  EXPECT_EQ(replay_after(/*resume=*/false), 2u * (kResumeAt - window));
+  EXPECT_EQ(replay_after(/*resume=*/true), 0u);
+}
+
 TEST_F(AntiReplayTest, SustainedReplayQuarantinesAndProbeRecovers) {
   wiot::StreamAttackConfig attack;
   attack.kind = wiot::StreamAttackKind::kReplayPastCursor;

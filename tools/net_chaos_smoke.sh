@@ -21,7 +21,7 @@ SESSIONS=16
 SECONDS_PER_SESSION=12
 MODELS=2
 TRAIN_SECONDS=30
-RATE=6            # packets/s per session: the stream outlives every kill
+RATE=3            # time steps/s: the ~16 s stream outlives all 8 kills
 SETTLE_MS=240000  # resume give-up budget: covers $KILLS retrain gaps
 
 SERVE_PID=""

@@ -85,6 +85,10 @@ check("served packets streamed == sent",
 check("protocol errors", served["net.protocol_errors"], 0)
 check("packets abandoned at shutdown", served["net.packets_abandoned"], 0)
 check("connections still open", served["net.connections_open"], 0)
+# Delivery confirmation reads cursors; only a reconnect resumes, and a
+# clean wire has none. A resume here would arm the replay grace.
+check("served reconnects", served["net.reconnects"], 0)
+check("served resumes", served["net.resumes"], 0)
 
 if failures:
     print(f"FAIL: {failures}")
