@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 namespace sift::fleet {
@@ -140,6 +142,47 @@ std::string MetricsRegistry::snapshot_json() const {
   }
   out += "\n}";
   return out;
+}
+
+void record_thread_cpu(MetricsRegistry& registry, const std::string& prefix) {
+  struct Totals {
+    std::uint64_t run_ns = 0;
+    std::uint64_t vcsw = 0;
+    std::uint64_t ivcsw = 0;
+  };
+  std::map<std::string, Totals> by_name;
+  std::error_code ec;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task", ec)) {
+    std::string name;
+    if (!std::getline(std::ifstream(task.path() / "comm"), name)) continue;
+    Totals& totals = by_name[name];
+    // schedstat: "<ns on cpu> <ns waiting on a runqueue> <timeslices>".
+    if (std::uint64_t run_ns = 0;
+        std::ifstream(task.path() / "schedstat") >> run_ns) {
+      totals.run_ns += run_ns;
+    }
+    std::ifstream status(task.path() / "status");
+    for (std::string line; std::getline(status, line);) {
+      const auto colon = line.find(':');
+      if (colon == std::string::npos) continue;
+      const std::string key = line.substr(0, colon);
+      if (key == "voluntary_ctxt_switches") {
+        totals.vcsw += std::stoull(line.substr(colon + 1));
+      } else if (key == "nonvoluntary_ctxt_switches") {
+        totals.ivcsw += std::stoull(line.substr(colon + 1));
+      }
+    }
+  }
+  for (const auto& [name, totals] : by_name) {
+    const std::string base = prefix + name;
+    registry.gauge(base + ".run_us")
+        .set(static_cast<std::int64_t>(totals.run_ns / 1000));
+    registry.gauge(base + ".vcsw")
+        .set(static_cast<std::int64_t>(totals.vcsw));
+    registry.gauge(base + ".ivcsw")
+        .set(static_cast<std::int64_t>(totals.ivcsw));
+  }
 }
 
 }  // namespace sift::fleet

@@ -106,4 +106,13 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<LatencyHistogram>> size_histograms_;
 };
 
+/// Sets three gauges per thread name of this process from
+/// /proc/self/task/*/{comm,schedstat,status}: `<prefix><name>.run_us`
+/// (on-CPU time), `.vcsw` and `.ivcsw` (voluntary and involuntary context
+/// switches), each since the thread started and summed over the threads
+/// that share the name. A thread that has exited is gone from /proc, so
+/// call this before joining the threads of interest. Sets nothing where
+/// /proc is absent; run_us reads 0 on a kernel without schedstats.
+void record_thread_cpu(MetricsRegistry& registry, const std::string& prefix);
+
 }  // namespace sift::fleet

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -25,10 +26,31 @@ namespace sift::io {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the checksum of
 /// zip/png/ethernet. @p seed lets callers chain partial computations.
-/// Computed slicing-by-8 (eight table lookups per eight input bytes, a
-/// bytewise tail); the output is that of the classic bytewise loop.
+/// Inputs of 64 bytes and more fold 16-byte blocks with carry-less
+/// multiplies when the host has PCLMULQDQ; everything else, and every
+/// host without it, runs slicing-by-8. Both give exactly the output of the
+/// classic bytewise loop.
 std::uint32_t crc32(std::span<const std::uint8_t> data,
                     std::uint32_t seed = 0) noexcept;
+
+namespace detail {
+
+/// Slicing-by-8 (eight table lookups per eight input bytes, a bytewise
+/// tail). Runs on every host.
+std::uint32_t crc32_sliced(std::span<const std::uint8_t> data,
+                           std::uint32_t seed = 0) noexcept;
+/// True on an x86-64 host with PCLMULQDQ: the one runtime probe, taken
+/// once per process.
+bool crc32_fold_supported() noexcept;
+/// Folds 4x128 bits per 64 bytes, then 128 bits per 16, and
+/// Barrett-reduces to 32 (Intel, "Fast CRC Computation for Generic
+/// Polynomials Using PCLMULQDQ Instruction"); the last < 16 bytes, and
+/// inputs shorter than 64, go through crc32_sliced. Where
+/// crc32_fold_supported() is false this is crc32_sliced.
+std::uint32_t crc32_folded(std::span<const std::uint8_t> data,
+                           std::uint32_t seed = 0) noexcept;
+
+}  // namespace detail
 
 /// Frame header size: u32 length + u32 CRC.
 inline constexpr std::size_t kFrameHeaderBytes = 8;
@@ -44,10 +66,12 @@ void append_frame(std::vector<std::uint8_t>& out,
 
 /// Incremental frame decoder: the streaming core shared by the journal
 /// reader (whole file at once) and the network ingest path (arbitrary
-/// read() chunks). Bytes go in via feed() at whatever boundaries the
-/// source produced them; next() yields each complete, CRC-verified payload
-/// as soon as its last byte has arrived. A frame split across any number
-/// of feeds decodes identically to one delivered whole.
+/// recv() chunks). Bytes arrive at whatever boundaries the source produced
+/// them: a socket owner recv()s straight into prepare()'s room and
+/// commit()s what arrived; feed() is prepare + copy + commit for bytes that
+/// already sit in memory. next() yields each complete, CRC-verified
+/// payload as soon as its last byte has arrived. A frame split across any
+/// number of commits decodes identically to one delivered whole.
 ///
 /// Corruption is terminal: an oversized length field or a CRC mismatch
 /// poisons the decoder (corrupt() == true) and next() never yields again —
@@ -55,31 +79,41 @@ void append_frame(std::vector<std::uint8_t>& out,
 /// trusted. A socket owner closes the connection; a file reader treats it
 /// as the torn tail.
 ///
-/// Memory contract: the internal buffer only ever holds the bytes of the
-/// frame currently being assembled (bounded by @p max_payload) plus
-/// whatever trailing fragment the last feed carried, and its capacity is
-/// retained across frames — a connection that reserve()s once decodes
-/// frames with zero steady-state allocation. Spans returned by next() point
-/// into that buffer and stay valid until the next feed() call.
+/// Memory contract: the storage is grow-only and never zero-filled. It
+/// holds the bytes of the frame being assembled (bounded by
+/// @p max_payload) plus whatever trailing fragment the last commit
+/// carried; consumed frames are compacted away by prepare(), and the
+/// capacity is kept across frames and reset(). A connection that
+/// reserve()s once decodes with zero steady-state allocation. Spans
+/// returned by next() point into the storage and stay valid until the next
+/// prepare(), feed() or reserve().
 class FrameDecoder {
  public:
   explicit FrameDecoder(std::size_t max_payload = kMaxFramePayload) noexcept
       : max_payload_(max_payload) {}
 
-  /// Pre-sizes the internal buffer (steady-state decode then allocates
-  /// nothing as long as feeds stay within the reserved capacity).
-  void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
+  /// Pre-sizes the storage: prepare() then allocates nothing as long as
+  /// unconsumed bytes plus the room asked for fit in @p bytes.
+  void reserve(std::size_t bytes);
 
-  /// Appends raw stream bytes. Bytes already consumed as intact frames are
-  /// compacted away first, which invalidates spans returned by next().
+  /// Compacts consumed frames away (invalidating spans returned by next())
+  /// and returns @p n writable bytes after the unconsumed ones, growing
+  /// the storage only when they do not fit.
+  std::span<std::uint8_t> prepare(std::size_t n);
+
+  /// Appends the first @p n bytes of the last prepare()'s room to the
+  /// stream; @p n must not exceed the room's size. Ignored once corrupt.
+  void commit(std::size_t n) noexcept;
+
+  /// Appends raw stream bytes: prepare + copy + commit.
   void feed(std::span<const std::uint8_t> bytes);
 
-  /// Back to the freshly-constructed state, retaining buffer capacity — a
+  /// Back to the freshly-constructed state, retaining storage — a
   /// connection slot reuses one decoder across many connections without
   /// reallocating.
   void reset() noexcept {
-    buffer_.clear();
     head_ = 0;
+    tail_ = 0;
     fed_ = 0;
     corrupt_ = false;
   }
@@ -94,15 +128,17 @@ class FrameDecoder {
   /// Total stream offset one past the last intact frame consumed — the
   /// "durable prefix" a file reader truncates back to.
   std::size_t consumed_bytes() const noexcept { return fed_ - pending_bytes(); }
-  /// Bytes fed but not yet consumed as complete frames (a partial frame,
-  /// or everything after the corruption point).
-  std::size_t pending_bytes() const noexcept { return buffer_.size() - head_; }
+  /// Bytes committed but not yet consumed as complete frames (a partial
+  /// frame, or everything after the corruption point).
+  std::size_t pending_bytes() const noexcept { return tail_ - head_; }
 
  private:
   std::size_t max_payload_;
-  std::vector<std::uint8_t> buffer_;
-  std::size_t head_ = 0;   ///< first unconsumed byte in buffer_
-  std::size_t fed_ = 0;    ///< total bytes ever fed
+  std::unique_ptr<std::uint8_t[]> storage_;
+  std::size_t capacity_ = 0;
+  std::size_t head_ = 0;   ///< first unconsumed byte in storage_
+  std::size_t tail_ = 0;   ///< one past the last committed byte
+  std::size_t fed_ = 0;    ///< total bytes ever committed
   bool corrupt_ = false;
 };
 
@@ -114,7 +150,6 @@ class FrameDecoder {
 class FrameReader {
  public:
   explicit FrameReader(std::span<const std::uint8_t> bytes) {
-    decoder_.reserve(bytes.size());
     decoder_.feed(bytes);
   }
 

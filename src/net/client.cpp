@@ -19,6 +19,9 @@ namespace {
 /// backpressure reaches the pacing loop quickly.
 constexpr std::size_t kAutoFlushBytes = 1u << 16;
 
+/// Decoder room handed to one reply recv() (a reply frame is < 64 bytes).
+constexpr std::size_t kReadChunk = 4096;
+
 /// Capped exponential backoff between reconnect attempts.
 constexpr std::chrono::milliseconds kBackoffInitial{5};
 constexpr std::chrono::milliseconds kBackoffCap{500};
@@ -49,18 +52,18 @@ void Client::send_raw(std::span<const std::uint8_t> bytes) {
 
 wire::Stats Client::stats(std::chrono::milliseconds timeout) {
   flush();
-  std::vector<std::uint8_t> request;
-  encoder_.stats_request(request);
-  write_all(request);
+  request_.clear();
+  encoder_.stats_request(request_);
+  write_all(request_);
   return wire::decode_stats_reply(await_frame(timeout));
 }
 
 wire::Cursors Client::cursors(std::int32_t user_id,
                               std::chrono::milliseconds timeout) {
   flush();
-  std::vector<std::uint8_t> request;
-  encoder_.cursor_request(request, user_id);
-  write_all(request);
+  request_.clear();
+  encoder_.cursor_request(request_, user_id);
+  write_all(request_);
   return wire::decode_cursor_reply(await_frame(timeout));
 }
 
@@ -88,10 +91,11 @@ std::span<const std::uint8_t> Client::await_frame(
       throw wire::Error(std::string("client: poll: ") + std::strerror(errno));
     }
     if (rc == 0) throw wire::Error("client: reply timeout");
+    const std::span<std::uint8_t> room = decoder_.prepare(kReadChunk);
     const ssize_t n =
-        faults_ ? faults_->recv(conn_id_, rx_offset_, fd_.get(), rx_.data(),
-                                rx_.size(), 0)
-                : ::recv(fd_.get(), rx_.data(), rx_.size(), 0);
+        faults_ ? faults_->recv(conn_id_, rx_offset_, fd_.get(), room.data(),
+                                room.size(), 0)
+                : ::recv(fd_.get(), room.data(), room.size(), 0);
     if (n == 0) throw wire::Error("client: server closed the connection");
     if (n < 0) {
       if (errno == EINTR) {
@@ -102,7 +106,7 @@ std::span<const std::uint8_t> Client::await_frame(
       throw wire::Error(std::string("client: recv: ") + std::strerror(errno));
     }
     rx_offset_ += static_cast<std::uint64_t>(n);
-    decoder_.feed({rx_.data(), static_cast<std::size_t>(n)});
+    decoder_.commit(static_cast<std::size_t>(n));
     // A read that ends mid-frame is not an error — the loop keeps reading
     // against the deadline — but it is worth counting.
     if (decoder_.pending_bytes() > 0) ++io_stats_.partial_reads;

@@ -18,7 +18,6 @@
 // correctness test.
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -99,8 +98,8 @@ class Client {
   Fd fd_;
   wire::Encoder encoder_;
   std::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t> request_;  ///< one stats/cursor request
   io::FrameDecoder decoder_;  ///< reply stream (stats / cursors)
-  std::array<std::uint8_t, 4096> rx_{};
   FaultyTransport* faults_ = nullptr;
   std::uint64_t conn_id_ = 0;
   std::uint64_t tx_offset_ = 0;  ///< cumulative bytes sent (shim key)

@@ -25,7 +25,7 @@ constexpr int kListenBacklog = 128;
 /// Per-frame payload bound on the listener (tighter than the io-layer
 /// kMaxFramePayload; a sensor packet is ~1.5 KB).
 constexpr std::size_t kMaxPayload = 1u << 16;
-/// Bytes handed to one read() call.
+/// Decoder room handed to one recv() call.
 constexpr std::size_t kReadChunk = 1u << 15;
 
 [[noreturn]] void throw_errno(const char* what) {
@@ -73,7 +73,6 @@ NetServer::NetServer(fleet::FleetEngine& engine, NetServerConfig config)
   for (std::size_t i = config_.max_connections; i-- > 0;) {
     free_slots_.push_back(i);
   }
-  scratch_.resize(kReadChunk);
 
   auto& metrics = engine_.metrics();
   accepted_ = &metrics.counter("net.connections_accepted");
@@ -248,9 +247,9 @@ void NetServer::accept_ready() {
     conn.saw_eof = false;
     conn.want_write = false;
     conn.decoder.reset();
-    // Enough for the largest frame plus one read chunk of trailing bytes:
-    // a no-op after the slot's first connection, so steady-state accepts
-    // and decodes allocate nothing.
+    // Enough for the largest partial frame plus one read chunk: a no-op
+    // after the slot's first connection, so steady-state accepts and
+    // decodes allocate nothing.
     conn.decoder.reserve(kMaxPayload + io::kFrameHeaderBytes + kReadChunk);
     conn.out.clear();
     conn.out_head = 0;
@@ -278,6 +277,7 @@ void NetServer::accept_ready() {
 }
 
 void NetServer::pump(Connection& conn) {
+  bool drained = false;
   for (;;) {
     if (conn.has_pending && !retry_pending(conn)) break;
     // Drain every complete frame already buffered before reading more.
@@ -305,16 +305,23 @@ void NetServer::pump(Connection& conn) {
       close_conn(conn);
       return;
     }
+    // A short read emptied the socket: asking again would only return
+    // EAGAIN. Epoll is level-triggered, so bytes (or an EOF) that arrive
+    // later wake this connection again.
+    if (drained) break;
+    const std::span<std::uint8_t> room = conn.decoder.prepare(kReadChunk);
     const ssize_t n =
         config_.faults
             ? config_.faults->recv(conn.id, conn.rx_offset, conn.fd.get(),
-                                   scratch_.data(), scratch_.size(), 0)
-            : ::recv(conn.fd.get(), scratch_.data(), scratch_.size(), 0);
+                                   room.data(), room.size(), 0)
+            : ::recv(conn.fd.get(), room.data(), room.size(), 0);
     if (n > 0) {
-      conn.rx_offset += static_cast<std::uint64_t>(n);
-      bytes_in_->add(static_cast<std::uint64_t>(n));
+      const auto got = static_cast<std::size_t>(n);
+      conn.decoder.commit(got);
+      conn.rx_offset += got;
+      bytes_in_->add(got);
       conn.last_activity = std::chrono::steady_clock::now();
-      conn.decoder.feed({scratch_.data(), static_cast<std::size_t>(n)});
+      drained = got < room.size();
       continue;
     }
     if (n == 0) {

@@ -2,7 +2,7 @@
 // terminates the framed wire protocol and feeds the fleet engine.
 //
 //   accept ──► Connection slot (preallocated, recycled)
-//                 │ read() chunks into one shared scratch buffer
+//                 │ recv() straight into the decoder's room
 //                 ▼
 //              io::FrameDecoder (per connection, capacity retained)
 //                 │ complete CRC-verified payloads
@@ -154,8 +154,8 @@ class NetServer {
   void loop();
   void wake();
   void accept_ready();
-  /// Read→decode→ingest until the socket would block, the engine pushes
-  /// back (gates the connection), or the connection ends.
+  /// Read→decode→ingest until a short read drains the socket, the engine
+  /// pushes back (gates the connection), or the connection ends.
   void pump(Connection& conn);
   FrameAction on_frame(Connection& conn, std::span<const std::uint8_t> payload);
   FrameAction offer(Connection& conn, std::int32_t user_id);
@@ -186,7 +186,6 @@ class NetServer {
   Fd wake_fd_;
   std::vector<Connection> slots_;
   std::vector<std::size_t> free_slots_;
-  std::vector<std::uint8_t> scratch_;  ///< shared read buffer
   wire::Encoder encoder_;
   int stalled_ = 0;  ///< gated connections (drives the short retry tick)
   std::chrono::steady_clock::time_point next_deadline_scan_{};

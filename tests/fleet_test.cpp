@@ -12,6 +12,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <ctime>
+#include <filesystem>
 #include <memory>
 #include <numeric>
 #include <random>
@@ -30,6 +32,7 @@
 #include "fleet/model_registry.hpp"
 #include "fleet/replay.hpp"
 #include "fleet/session_table.hpp"
+#include "fleet/thread_name.hpp"
 #include "io/model_file.hpp"
 #include "physio/dataset.hpp"
 
@@ -71,6 +74,37 @@ TEST(Metrics, HistogramOverflowBucketIsCapped) {
   LatencyHistogram h;
   h.observe_us(1e9);  // beyond the last bound: open-ended bucket
   EXPECT_DOUBLE_EQ(h.quantile_us(0.99), 1e7);
+}
+
+TEST(Metrics, ThreadCpuIsSummedPerThreadName) {
+  if (!std::filesystem::exists("/proc/thread-self/schedstat")) {
+    GTEST_SKIP() << "no per-thread schedstat on this kernel";
+  }
+  // Two threads of one name each burn 20 ms of their own CPU time, then
+  // wait (alive, so /proc still lists them) while the gauges are read.
+  constexpr std::int64_t kBurnUs = 20000;
+  std::atomic<int> burned{0};
+  std::atomic<bool> release{false};
+  const auto burn = [&] {
+    name_this_thread("sift-probe");
+    timespec t{};
+    do {
+      clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t);
+    } while (t.tv_sec * 1000000 + t.tv_nsec / 1000 < kBurnUs);
+    burned.fetch_add(1);
+    while (!release.load()) std::this_thread::yield();
+  };
+  std::jthread a(burn);
+  std::jthread b(burn);
+  while (burned.load() < 2) std::this_thread::yield();
+
+  MetricsRegistry registry;
+  record_thread_cpu(registry, "t.");
+  release.store(true);
+  EXPECT_GE(registry.gauge("t.sift-probe.run_us").value(), 2 * kBurnUs);
+  const std::string json = registry.snapshot_json();
+  EXPECT_NE(json.find("\"t.sift-probe.vcsw\""), std::string::npos);
+  EXPECT_NE(json.find("\"t.sift-probe.ivcsw\""), std::string::npos);
 }
 
 TEST(Metrics, JsonSnapshotListsEveryInstrument) {

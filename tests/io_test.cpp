@@ -307,16 +307,12 @@ TEST_F(IoTest, UserModelRejectsHostileCrcHeaders) {
 
 // --- Frame checksum ------------------------------------------------------------
 
-/// The textbook bit-at-a-time CRC-32 (no tables), kept here as the
-/// reference the library's sliced implementation must match exactly.
-std::uint32_t bytewise_crc32(std::span<const std::uint8_t> data,
-                             std::uint32_t seed = 0) {
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (const std::uint8_t b : data) {
-    c ^= b;
-    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-  }
-  return c ^ 0xFFFFFFFFu;
+/// One byte of the textbook bit-at-a-time CRC-32 (no tables) on the
+/// pre-inverted register: the reference both library paths must match.
+std::uint32_t bytewise_step(std::uint32_t c, std::uint8_t b) {
+  c ^= b;
+  for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  return c;
 }
 
 std::vector<std::uint8_t> pseudo_random_bytes(std::size_t n) {
@@ -339,39 +335,71 @@ std::string hex(std::span<const std::uint8_t> bytes) {
   return out;
 }
 
-TEST(FramedCrcTest, KnownAnswers) {
-  const std::string check = "123456789";
-  EXPECT_EQ(crc32({reinterpret_cast<const std::uint8_t*>(check.data()),
-                   check.size()}),
-            0xCBF43926u);
-  EXPECT_EQ(crc32({}), 0u);
+using Crc32Fn = std::uint32_t (*)(std::span<const std::uint8_t>,
+                                  std::uint32_t) noexcept;
+
+/// Every length 0..4096 at offsets 0..15, unseeded and seeded: the fold's
+/// 64-byte entry, its 16-byte steps and every tail length, at every
+/// alignment. The reference register advances one byte per length.
+void expect_matches_bytewise_reference(Crc32Fn crc) {
+  constexpr std::size_t kMaxLen = 4096;
+  constexpr std::uint32_t kSeed = 0xDEADBEEFu;
+  const auto bytes = pseudo_random_bytes(kMaxLen + 16);
+  const std::span<const std::uint8_t> all(bytes);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    std::uint32_t plain = 0xFFFFFFFFu;
+    std::uint32_t seeded = kSeed ^ 0xFFFFFFFFu;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      if (len > 0) {
+        plain = bytewise_step(plain, all[offset + len - 1]);
+        seeded = bytewise_step(seeded, all[offset + len - 1]);
+      }
+      const auto slice = all.subspan(offset, len);
+      ASSERT_EQ(crc(slice, 0), plain ^ 0xFFFFFFFFu)
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(crc(slice, kSeed), seeded ^ 0xFFFFFFFFu)
+          << "seeded, offset " << offset << " len " << len;
+    }
+  }
 }
 
-TEST(FramedCrcTest, SeedChainsAtEverySplitPoint) {
+/// A packet-sized input chained through the seed at every split point,
+/// so pieces start and end on either side of the 16- and 64-byte edges.
+void expect_seed_chains_at_every_split(Crc32Fn crc) {
   const auto bytes = pseudo_random_bytes(1468);
   const std::span<const std::uint8_t> all(bytes);
-  const std::uint32_t whole = crc32(all);
+  const std::uint32_t whole = crc(all, 0);
   for (std::size_t split = 0; split <= all.size(); ++split) {
-    ASSERT_EQ(crc32(all.subspan(split), crc32(all.first(split))), whole)
+    ASSERT_EQ(crc(all.subspan(split), crc(all.first(split), 0)), whole)
         << "split " << split;
   }
 }
 
+TEST(FramedCrcTest, KnownAnswers) {
+  const std::string check = "123456789";
+  const std::span<const std::uint8_t> bytes(
+      reinterpret_cast<const std::uint8_t*>(check.data()), check.size());
+  EXPECT_EQ(crc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(detail::crc32_sliced(bytes), 0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(FramedCrcTest, SeedChainsAtEverySplitPoint) {
+  expect_seed_chains_at_every_split(detail::crc32_sliced);
+}
+
 TEST(FramedCrcTest, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
-  const auto bytes = pseudo_random_bytes(1468 + 8);
-  const std::span<const std::uint8_t> all(bytes);
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 64; ++len) {
-      const auto slice = all.subspan(offset, len);
-      ASSERT_EQ(crc32(slice), bytewise_crc32(slice))
-          << "offset " << offset << " len " << len;
-      ASSERT_EQ(crc32(slice, 0xDEADBEEFu), bytewise_crc32(slice, 0xDEADBEEFu))
-          << "seeded, offset " << offset << " len " << len;
-    }
-    const auto packet_sized = all.subspan(offset, 1468);
-    EXPECT_EQ(crc32(packet_sized), bytewise_crc32(packet_sized))
-        << "offset " << offset;
+  expect_matches_bytewise_reference(detail::crc32_sliced);
+}
+
+TEST(FramedCrcTest, FoldedPathMatchesBytewiseReferenceAndChains) {
+  if (!detail::crc32_fold_supported()) {
+    GTEST_SKIP() << "no PCLMULQDQ on this host: crc32 runs the sliced path";
   }
+  expect_matches_bytewise_reference(detail::crc32_folded);
+  expect_seed_chains_at_every_split(detail::crc32_folded);
+  // The public entry point is the folded path on this host.
+  expect_seed_chains_at_every_split(crc32);
 }
 
 TEST(FramedCrcTest, WirePacketFrameBytesArePinned) {

@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -400,8 +401,136 @@ TEST(FrameDecoderTest, ResetClearsPoisonAndReusesCapacity) {
   EXPECT_EQ(std::vector<std::uint8_t>(p->begin(), p->end()), payload);
 }
 
+/// Copies of every payload @p decoder yields right now.
+std::vector<std::vector<std::uint8_t>> drain_frames(io::FrameDecoder& decoder) {
+  std::vector<std::vector<std::uint8_t>> out;
+  while (const auto p = decoder.next()) out.emplace_back(p->begin(), p->end());
+  return out;
+}
+
+TEST(FrameDecoderTest, PrepareCommitAtEverySplitPointMatchesFeed) {
+  wire::Encoder encoder;
+  std::vector<std::uint8_t> bytes;
+  encoder.hello(bytes);
+  for (int i = 0; i < 3; ++i) {
+    encoder.packet(bytes, i, shared_fixture().session_packets(0)[i]);
+  }
+  io::FrameDecoder fed;
+  fed.feed(bytes);
+  const auto whole = drain_frames(fed);
+  ASSERT_EQ(whole.size(), 4u);
+
+  // Receive-style: each prepare asks for more room than the bytes that
+  // then arrive, as a recv() into a large chunk does.
+  io::FrameDecoder decoder;
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    decoder.reset();
+    std::vector<std::vector<std::uint8_t>> got;
+    std::size_t off = 0;
+    for (const std::size_t n : {split, bytes.size() - split}) {
+      const std::span<std::uint8_t> room = decoder.prepare(n + 64);
+      ASSERT_EQ(room.size(), n + 64);
+      std::copy_n(bytes.data() + off, n, room.data());
+      decoder.commit(n);
+      off += n;
+      for (auto& frame : drain_frames(decoder)) got.push_back(std::move(frame));
+    }
+    ASSERT_EQ(got, whole) << "split " << split;
+    EXPECT_EQ(decoder.pending_bytes(), 0u);
+    EXPECT_EQ(decoder.consumed_bytes(), bytes.size());
+  }
+}
+
+TEST(FrameDecoderTest, WarmDecoderAllocatesNothing) {
+  wire::Encoder encoder;
+  std::vector<std::uint8_t> bytes;
+  for (const auto& packet : shared_fixture().session_packets(0)) {
+    encoder.packet(bytes, 0, packet);
+  }
+  constexpr std::size_t kChunk = 1000;  // frames straddle every chunk
+  io::FrameDecoder decoder;
+  const auto pass = [&] {
+    std::size_t frames = 0;
+    for (std::size_t off = 0; off < bytes.size(); off += kChunk) {
+      const std::size_t n = std::min(kChunk, bytes.size() - off);
+      const std::span<std::uint8_t> room = decoder.prepare(kChunk);
+      std::copy_n(bytes.data() + off, n, room.data());
+      decoder.commit(n);
+      while (decoder.next()) ++frames;
+    }
+    return frames;
+  };
+  const auto whole = [&] {
+    decoder.reset();
+    decoder.feed(bytes);
+    std::size_t frames = 0;
+    while (decoder.next()) ++frames;
+    return frames;
+  };
+  const std::size_t frames = pass();
+  ASSERT_EQ(frames, shared_fixture().session_packets(0).size());
+  ASSERT_EQ(whole(), frames);
+
+  decoder.reset();
+  testing::AllocGuard guard;
+  EXPECT_EQ(pass(), frames);
+  EXPECT_EQ(whole(), frames);
+  EXPECT_EQ(guard.count(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Event-loop lifecycle
+
+TEST(NetServerTest, FrameSplitAcrossAShortReadDecodesAfterTheLaterSend) {
+  Harness h;
+  Client client(h.address(), /*greet=*/false);
+  wire::Encoder encoder;
+  std::vector<std::uint8_t> hello;
+  encoder.hello(hello);
+  std::vector<std::uint8_t> packet;
+  encoder.packet(packet, 0, shared_fixture().session_packets(0)[0]);
+  const std::size_t half = packet.size() / 2;
+
+  // The hello and half a packet arrive in one short read; the server
+  // dispatches the hello and waits with the half frame buffered.
+  client.send_raw(hello);
+  client.send_raw({packet.data(), half});
+  ASSERT_TRUE(h.poll_until([&] {
+    return h.counter("net.bytes_in") == hello.size() + half;
+  }));
+  EXPECT_EQ(h.counter("net.frames_in"), 1u);
+  EXPECT_EQ(h.counter("net.packets_in"), 0u);
+
+  client.send_raw({packet.data() + half, packet.size() - half});
+  ASSERT_TRUE(h.poll_until(
+      [&] { return h.counter("net.packets_streamed") == 1u; }));
+  EXPECT_EQ(h.counter("net.protocol_errors"), 0u);
+  EXPECT_EQ(h.server->open_connections(), 1u);
+}
+
+TEST(NetServerTest, EofAfterAShortReadClosesAndCounts) {
+  Harness h;
+  wire::Encoder encoder;
+  std::vector<std::uint8_t> stream;
+  encoder.hello(stream);
+  encoder.packet(stream, 0, shared_fixture().session_packets(0)[0]);
+  encoder.packet(stream, 0, shared_fixture().session_packets(0)[1]);
+  stream.resize(stream.size() - 5);  // the second packet is torn
+
+  // Bytes and FIN are both queued before the server reads: the first
+  // recv is short and ends the round, the EOF is seen on the next wake.
+  {
+    Client client(h.address(), /*greet=*/false);
+    client.send_raw(stream);
+    client.close();
+  }
+  ASSERT_TRUE(h.poll_until(
+      [&] { return h.counter("net.connections_closed") == 1u; }));
+  EXPECT_EQ(h.counter("net.bytes_in"), stream.size());
+  EXPECT_EQ(h.counter("net.packets_streamed"), 1u);
+  EXPECT_EQ(h.counter("net.protocol_errors"), 0u);
+  EXPECT_EQ(h.server->open_connections(), 0u);
+}
 
 TEST(NetServerTest, ArbitraryChunkBoundariesDecodeEverything) {
   Harness h;

@@ -89,6 +89,11 @@ check("connections still open", served["net.connections_open"], 0)
 # clean wire has none. A resume here would arm the replay grace.
 check("served reconnects", served["net.reconnects"], 0)
 check("served resumes", served["net.resumes"], 0)
+# The per-thread CPU split, read at drain start: the net loop and the
+# worker both ran, so both show on-CPU time.
+for thread in ("sift-net", "sift-worker-0"):
+    key = f"gateway.thread.{thread}.run_us"
+    check(f"{key} > 0", served.get(key, 0) > 0, True)
 
 if failures:
     print(f"FAIL: {failures}")

@@ -1009,6 +1009,9 @@ int cmd_serve(std::span<const std::string> args) {
   }
 
   std::fprintf(stderr, "serve: draining...\n");
+  // Per-thread CPU while every gateway thread is still alive: the split of
+  // the time per verdict between the net loop, the workers and the journal.
+  fleet::record_thread_cpu(engine.metrics(), "gateway.thread.");
   server.stop();    // flush buffered frames into the engine, close sockets
   engine.drain();   // classify everything accepted
   shared.finish_checkpoints(checkpointer, engine);
